@@ -27,7 +27,9 @@ import warnings
 warnings.filterwarnings("ignore")
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default: the CPUs this process may run on (what `nproc` reports)
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 
 def _bench_rows() -> int:

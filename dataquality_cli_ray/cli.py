@@ -163,7 +163,10 @@ def cmd_quality(args) -> int:
         mode=args.dedup_mode, approx_rows=nrows)
 
     def pipeline(shard_files):
-        return quality_pipeline(read_parquet_fast(shard_files), dup_map, cfg,
+        # one block per file, so each read task fuses with the kernels
+        ds = read_parquet_fast(shard_files,
+                               override_num_blocks=len(shard_files))
+        return quality_pipeline(ds, dup_map, cfg,
                                 langid_model=langid_model,
                                 ppl_model=ppl_model)
 
@@ -203,13 +206,32 @@ def cmd_lineage(args) -> int:
     return 0
 
 
+class _JsonNames:
+    """``write_json`` file names with an explicit extension, so gzip
+    output reads back by extension (``.json.gz``)."""
+
+    def __init__(self, ext: str):
+        self.ext = ext
+
+    def get_filename_for_block(self, block, write_uuid, task_index,
+                               block_index):
+        return f"{write_uuid}_{task_index:06}_{block_index:06}{self.ext}"
+
+
 def cmd_corpus(args) -> int:
     """Corpus-level training-data ops over a parquet file/dir input.
 
     Dataset-shaped results stream to ``--output`` via write_parquet;
     small aggregate results (top-ngrams, source-cap winner set) are
-    written as one parquet file.
+    written as one parquet file. An ``--output`` ending in ``.jsonl``,
+    ``.ndjson`` (or either plus ``.gz``) is written as (gzip) JSONL.
+    A non-empty ``--output`` dir is refused: its old files would be
+    counted in ``rows_out`` and mixed into the result.
     """
+    if os.path.isdir(args.output) and os.listdir(args.output):
+        print(f"--output {args.output} is a non-empty directory",
+              file=sys.stderr)
+        return 2
     _ray_session(args.num_cpus)
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -303,13 +325,15 @@ def cmd_corpus(args) -> int:
         print(f"unknown corpus op {op}", file=sys.stderr)
         return 2
     # match the INPUT dispatch's newline-delimited-JSON extensions
-    jsonl_out = args.output.lower().rstrip("/").endswith((".jsonl",
-                                                          ".ndjson"))
+    low = args.output.lower().rstrip("/")
+    gz = low.endswith(".gz")
+    jsonl_out = low.removesuffix(".gz").endswith((".jsonl", ".ndjson"))
     if small is not None:
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         if jsonl_out:
             small.to_pandas().to_json(args.output, orient="records",
-                                      lines=True)
+                                      lines=True,
+                                      compression="gzip" if gz else None)
         else:
             pq.write_table(small, args.output)
         n = small.num_rows
@@ -318,12 +342,19 @@ def cmd_corpus(args) -> int:
         # line counts), not out.count() — count() re-executes the whole
         # derived plan, doubling every corpus op's wall time
         if jsonl_out:
-            out.write_json(args.output)
+            import gzip
+
+            ext = ".json.gz" if gz else ".json"
+            out.write_json(
+                args.output, filename_provider=_JsonNames(ext),
+                arrow_open_stream_args={"compression": "gzip" if gz
+                                        else None})
             n = 0
             for root, _, fs in os.walk(args.output):
                 for f in fs:
-                    if f.endswith(".json"):
-                        with open(os.path.join(root, f), "rb") as fh:
+                    if f.endswith(ext):
+                        with (gzip.open if gz else open)(
+                                os.path.join(root, f), "rb") as fh:
                             n += sum(ch.count(b"\n")
                                      for ch in iter(lambda: fh.read(1 << 20),
                                                     b""))

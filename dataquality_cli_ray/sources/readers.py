@@ -154,6 +154,14 @@ def _read_csv_truncate_task(path: str, delim: str):
     return _read_csv_truncate_table(path, delim)
 
 
+try:  # Ray's default read_json filter (private module, so guarded)
+    from ray.data._internal.datasource.json_datasource import (
+        JSON_FILE_EXTENSIONS)
+except ImportError:  # pragma: no cover - Ray layout change
+    JSON_FILE_EXTENSIONS = ["json", "jsonl", "json.gz", "jsonl.gz"]
+NDJSON_FILE_EXTENSIONS = [*JSON_FILE_EXTENSIONS, "ndjson", "ndjson.gz"]
+
+
 def read_jsonl(paths: str | list[str], columns: list[str] | None = None,
                **kw) -> "rd.Dataset":
     """JSONL (newline-delimited JSON) → Dataset.
@@ -164,7 +172,11 @@ def read_jsonl(paths: str | list[str], columns: list[str] | None = None,
     file, gzip auto-detected by extension, rows with missing keys
     null-padded. Arrow's JSON parser has no column pushdown, so the
     projection runs immediately after the parse (fused into the read
-    task) and only requested columns reach the object store."""
+    task) and only requested columns reach the object store.
+
+    Ray's default extension filter omits ``.ndjson``; it is added here
+    so a directory or file of ``.ndjson[.gz]`` is not "no input files"."""
+    kw.setdefault("file_extensions", NDJSON_FILE_EXTENSIONS)
     ds = rd.read_json(paths, **kw)
     if columns:
         ds = ds.select_columns(columns)
@@ -189,7 +201,7 @@ def read_table(path: str, columns: list[str] | None = None, **kw) -> "rd.Dataset
         except ImportError:
             pass
     low = str(path).lower()
-    if low.endswith((".jsonl", ".jsonl.gz", ".ndjson")):
+    if low.endswith((".jsonl", ".jsonl.gz", ".ndjson", ".ndjson.gz")):
         return read_jsonl(path, columns=columns, **kw)
     if low.endswith(".csv"):
         ds = read_csv_auto(path, **kw)

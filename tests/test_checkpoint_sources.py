@@ -179,6 +179,30 @@ def test_read_jsonl(ray_session, tmp_path):
     assert list(t2.columns) == ["doc_id"] and len(t2) == 3
 
 
+def test_read_ndjson(ray_session, tmp_path):
+    """.ndjson[.gz] files, and a directory of them, read like .jsonl
+    (Ray's own extension filter would find no input files)."""
+    import gzip
+
+    from dataquality_cli_ray.sources.readers import read_table
+
+    lines = "".join(json.dumps({"doc_id": i, "text": f"doc {i}"}) + "\n"
+                    for i in range(3))
+    p = tmp_path / "docs.ndjson"
+    p.write_text(lines)
+    t = read_table(str(p)).to_pandas().sort_values("doc_id")
+    assert list(t["doc_id"]) == [0, 1, 2] and t["text"].iloc[2] == "doc 2"
+    d = tmp_path / "dir"
+    d.mkdir()
+    (d / "a.ndjson").write_text(lines)
+    with gzip.open(d / "b.ndjson.gz", "wt") as f:
+        f.write(lines)
+    g = read_table(str(d / "b.ndjson.gz"), columns=["doc_id"]).to_pandas()
+    assert sorted(g["doc_id"]) == [0, 1, 2]
+    from dataquality_cli_ray.sources.readers import read_jsonl
+    assert read_jsonl(str(d)).count() == 6
+
+
 def test_jsonl_feeds_corpus_ops(ray_session, tmp_path):
     # a .jsonl corpus runs the same pipelines as parquet (reader is the
     # only format-aware layer)

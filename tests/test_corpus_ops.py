@@ -3,9 +3,13 @@ per-key caps, repetition stats — each pinned against an independent
 reference (scalar hash path, a pure-Python reimplementation, or
 DuckDB SQL over the same parquet)."""
 
+import json
+import os
+
 import duckdb
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from dataquality_cli_ray.functions.hashing import stable_hash64_array
@@ -271,6 +275,56 @@ def test_corpus_cli(ray_session, tmp_path):
     assert f.num_rows == 500
     import pyarrow.compute as pc
     assert pc.sum(f["contaminated"]).as_py() > 450
+
+
+def test_corpus_cli_gzip_jsonl_output(ray_session, tmp_path, capsys):
+    """``--output *.jsonl.gz`` writes gzip JSONL (not parquet bytes) for
+    both dataset-shaped and small outputs, and reads back by extension."""
+    import ast
+    import gzip
+    from argparse import Namespace
+
+    from dataquality_cli_ray.cli import cmd_corpus
+    from dataquality_cli_ray.sources.readers import read_table
+
+    base = dict(input=f"{SF}/documents.parquet", text_col="text",
+                id_col="doc_id", key_col="source", num_cpus=4, ngram=2,
+                window=24, overlap=8, k=5)
+    out = tmp_path / "chunks.jsonl.gz"
+    assert cmd_corpus(Namespace(**{**base, "op": "chunk",
+                                   "output": str(out)})) == 0
+    n = ast.literal_eval(capsys.readouterr().out.strip())["rows_out"]
+    files = list(out.iterdir())
+    assert files and all(f.name.endswith(".json.gz") for f in files)
+    for f in files:
+        assert f.read_bytes()[:2] == b"\x1f\x8b"        # gzip magic
+    assert n >= 500 and read_table(str(out)).count() == n
+    top = tmp_path / "top.jsonl.gz"
+    assert cmd_corpus(Namespace(**{**base, "op": "top-ngrams",
+                                   "output": str(top)})) == 0
+    with gzip.open(top, "rt") as f:
+        rows = [json.loads(line) for line in f]
+    assert len(rows) == 5 and set(rows[0]) == {"gram", "cnt"}
+
+
+def test_corpus_cli_refuses_nonempty_output(ray_session, tmp_path, capsys):
+    """A second run into the same ``--output`` dir is refused before
+    anything is written, so ``rows_out`` never counts an earlier run."""
+    import ast
+    from argparse import Namespace
+
+    from dataquality_cli_ray.cli import cmd_corpus
+
+    args = Namespace(input=f"{SF}/documents.parquet", text_col="text",
+                     id_col="doc_id", op="chunk", window=24, overlap=8,
+                     num_cpus=4, output=str(tmp_path / "chunks"))
+    assert cmd_corpus(args) == 0
+    n = ast.literal_eval(capsys.readouterr().out.strip())["rows_out"]
+    before = sorted(os.listdir(args.output))
+    assert cmd_corpus(args) == 2
+    assert "non-empty" in capsys.readouterr().err
+    assert sorted(os.listdir(args.output)) == before
+    assert pq.read_table(args.output).num_rows == n
 
 
 def test_repetition_stats_match_python(ray_session):

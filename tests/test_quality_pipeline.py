@@ -178,3 +178,71 @@ def test_pipeline_metrics_from_stats(ray_session, images_path, models):
         assert row["wall_s"] >= 0 and row["rows_out"] >= 0
     # the terminal operator emitted every surviving row
     assert max(r["rows_out"] for r in measured.values()) >= n > 0
+
+
+FUSED_OP = ("ReadParquet->MapBatches(_fused_task_fn)"
+            "->MapBatches(_mark_finalize_task_fn)")
+
+
+def _executed_ops(ds) -> list[str]:
+    """Operator names from the executed plan's stats ("Operator N
+    <name>: ...")."""
+    return [line.split(" ", 2)[2].rsplit(":", 1)[0]
+            for line in ds.stats().splitlines()
+            if line.startswith("Operator ")]
+
+
+@pytest.fixture(scope="module")
+def multi_file_images(images_path, tmp_path_factory):
+    """The 600-row fixture as 4 parquet files (fewer than Ray's 200
+    default read blocks, which would split each file)."""
+    t = pq.read_table(images_path)
+    d = tmp_path_factory.mktemp("images4")
+    for i in range(4):
+        pq.write_table(t.slice(i * 150, 150),
+                       str(d / f"part-{i:05d}.parquet"), compression="none")
+    return str(d)
+
+
+def test_staged_plan_is_one_fused_operator(ray_session, models,
+                                           multi_file_images):
+    """One read task per file fuses with the kernel chain: the executed
+    staged plan is ONE operator, with no SplitBlocks."""
+    lm, pm = models
+    ds = images_quality_pipeline(multi_file_images, QualityConfig(),
+                                 dedup_mode="staged",
+                                 langid_model=lm, ppl_model=pm)
+    n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
+    assert n == 600
+    assert _executed_ops(ds) == [FUSED_OP]
+
+
+def test_cli_shard_plan_is_one_fused_operator(ray_session,
+                                              multi_file_images,
+                                              tmp_path, monkeypatch):
+    """cmd_quality's per-shard plan (here one 4-file shard) is the same
+    single fused operator."""
+    from argparse import Namespace
+
+    from dataquality_cli_ray import cli
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    plans = []
+    real = CK.run_resumable
+
+    def spy(files, out_dir, pipeline_fn, **kw):
+        def fn(shard):
+            plans.append(pipeline_fn(shard))
+            return plans[-1]
+        return real(files, out_dir, fn, **kw)
+
+    monkeypatch.setattr(CK, "run_resumable", spy)
+    assert cli.cmd_quality(Namespace(
+        input=multi_file_images, output=str(tmp_path / "out"),
+        shard_size=4, num_cpus=4, dedup_mode="auto", align_threshold=None,
+        min_image_px=None, max_aspect=None, min_contrast=None)) == 0
+    assert len(plans) == 1
+    ds = plans[0]
+    n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
+    assert n == 600
+    assert _executed_ops(ds) == [FUSED_OP]

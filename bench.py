@@ -9,25 +9,20 @@ timings over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1).
 Prints ONE JSON line:
   {"metric": "...", "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, "images_per_sec": ...}
-
-``--scaling``: runs the headline twice in fresh processes at
-num_cpus=8 and 32 on the SAME input and reports both throughputs and
-efficiency = (T8/T32)/4 (the sandbox stand-in for N→4N nodes).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import time
 import warnings
 
 warnings.filterwarnings("ignore")
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-# default: the CPUs this process may run on (what `nproc` reports)
+# default: the CPUs this process may run on (its affinity mask; `nproc`
+# can report fewer, since it honours OMP_NUM_THREADS)
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
                               len(os.sched_getaffinity(0))))
 
@@ -42,8 +37,7 @@ def _bench_rows() -> int:
 def _warm_page_cache(fixture_dir: str, max_bytes: int | None = None) -> None:
     """Read every parquet file's raw bytes so a following timed run
     measures the pipeline, not cold device reads. ``max_bytes`` skips
-    the warm when the fixture exceeds it (scaling legs warm their
-    multi-GB inputs in ``run_scaling`` before each leg)."""
+    the warm when the fixture exceeds it."""
     import glob
 
     files = glob.glob(os.path.join(fixture_dir, "*.parquet"))
@@ -87,7 +81,7 @@ def run_benchmarks() -> dict:
     # warm-up (untimed): page cache + worker-process imports + module
     # caches across the whole worker fleet, so the timed run measures
     # steady-state compute, not cold start. The warmup drives the FULL
-    # pipeline (parquet read → fused stage → concurrent dup pre-pass →
+    # pipeline (dup pre-pass, then parquet read → fused stage →
     # mark+finalize) over a small separate fixture so every code path's
     # workers are primed — tasks reuse worker processes.
     from dataquality_cli_ray.sources.readers import parquet_footer_rows
@@ -110,18 +104,17 @@ def run_benchmarks() -> dict:
 
     queries: dict[str, float] = {}
 
-    # ---- headline: flagship quality pipeline (the dedup pre-pass runs
-    # concurrently with the main scan inside the pipeline) ----
+    # ---- headline: flagship quality pipeline (staged: the dedup
+    # pre-pass, then one fused read → kernels → mark operator) ----
     # min of N runs: the host is shared with a bursty co-tenant
     # (BASELINE.md), so a single wall-clock sample conflates our
     # pipeline with foreign load; the minimum is the uncontended
     # steady-state estimate (run 1 also absorbs residual cold-start).
     repeat = int(os.environ.get("BENCH_HEADLINE_REPEAT", "2"))
-    dedup_mode = os.environ.get("IMAGES_DEDUP_MODE", "staged")
     runs = []
     for _ in range(repeat):
         t0 = time.time()
-        out = images_quality_pipeline(img_path, cfg, dedup_mode=dedup_mode,
+        out = images_quality_pipeline(img_path, cfg,
                                       langid_model=langid_model,
                                       ppl_model=ppl_model)
         n_out = out.count()
@@ -364,216 +357,5 @@ def _multifile_dir() -> tuple[str, int]:
     return d, total
 
 
-def run_scaling() -> dict:
-    """Same headline job at num_cpus=8 and 32 in fresh processes.
-
-    Each leg is CPU-pinned (``taskset -c 0-(N-1)``) to emulate an
-    N-core NODE: ``ray.init(num_cpus=N)`` only caps task concurrency —
-    without the affinity mask the 8-CPU leg's process tree (raylet,
-    object store, driver, spill threads, any BLAS pools) still spreads
-    over all 32 physical cores, which a real 8-core node cannot do,
-    inflating the small leg and understating scaling efficiency.
-    """
-    # larger input for the scaling comparison: at 100k rows the job is
-    # overhead-dominated and CPU count barely matters (12.5k rows/CPU at
-    # 32); 25.6M rows (800k rows/CPU at 32) makes compute dominate the
-    # ~5-7 s width-independent overhead (executor ramp + staged prepass
-    # serial slack) so the 8-vs-32 ratio measures the pipeline, not
-    # startup — round-2 ran 12.8M where that overhead still decided
-    # pass/fail by host window (BASELINE.md). The fixture is ~63 GB on
-    # first use (generated once, cached; page cache holds it on this
-    # 125 GiB box).
-    scaling_rows = os.environ.get("SCALING_ROWS", "25600000")
-    repeat = os.environ.get("BENCH_HEADLINE_REPEAT", "2")
-
-    def warm_page_cache():
-        # warm the fixture's page cache so run 1 measures the pipeline,
-        # not cold device reads (no-op until the first leg generates it)
-        from dataquality_cli_ray.fixtures.images import SEED
-
-        _warm_page_cache(f"/tmp/dqray_fixtures/images_n{scaling_rows}_s{SEED}")
-
-    def cpu_stat() -> list[int]:
-        with open("/proc/stat") as fh:
-            return list(map(int, fh.readline().split()[1:]))
-
-    def steal_probe(dt: float = 1.5) -> float:
-        # This box is a VM on a shared hypervisor: the co-tenant runs
-        # OUTSIDE the VM, so in-VM busy-CPU sampling reads idle even
-        # while the hypervisor is descheduling our vCPUs. Steal time
-        # (/proc/stat field 8) only accrues while we DEMAND cpu, so the
-        # probe spins every core briefly and reads the steal share —
-        # the direct measure of whether a benchmark leg would get the
-        # machine it asks for.
-        import multiprocessing as mp
-
-        def spin(stop: float) -> None:
-            while time.time() < stop:
-                pass
-
-        s0 = cpu_stat()
-        stop = time.time() + dt
-        ps = [mp.Process(target=spin, args=(stop,))
-              for _ in range(os.cpu_count() or 32)]
-        for p in ps:
-            p.start()
-        for p in ps:
-            p.join()
-        d = [b - a for a, b in zip(s0, cpu_stat())]
-        return d[7] / max(1, sum(d)) * 100.0
-
-    def bw_probe() -> float:
-        # single-thread memory-copy bandwidth (GB/s), median of 3.
-        # Steal only measures CPU-scheduling robbery; a co-tenant VM on
-        # the same socket can eat shared DRAM bandwidth with ZERO steal,
-        # which inflates only the wide (bandwidth-saturated) leg — the
-        # residual variance seen after steal gating. Clean windows on
-        # this host read ~19-20 GB/s single-thread.
-        import numpy as np
-        n = 25_000_000  # 200 MB src
-        a = np.ones(n, dtype=np.float64)
-        b = np.empty_like(a)
-        b[:] = a  # touch pages
-        rates = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            b[:] = a
-            rates.append(2 * 8 * n / (time.perf_counter() - t0) / 1e9)
-        return sorted(rates)[1]
-
-    def wait_quiet(max_wait: float = 120.0) -> tuple[float, float]:
-        # gate each leg on actual busy CPUs (loadavg decays for minutes
-        # after a run ends — CLAUDE.md): sample /proc/stat over 2 s and
-        # proceed once < 2 cores are busy or the timeout expires; then
-        # require hypervisor steal < 3 % under a full-width spin probe
-        # AND single-thread copy bandwidth above the floor
-        def busy_cpus(dt: float = 2.0) -> float:
-            def snap():
-                vals = cpu_stat()
-                return sum(vals) - vals[3] - vals[4], sum(vals)
-            b0, t0 = snap()
-            time.sleep(dt)
-            b1, t1 = snap()
-            ncpu = os.cpu_count() or 32
-            return (b1 - b0) / max(1, t1 - t0) * ncpu
-        bw_min = float(os.environ.get("SCALING_BW_MIN_GBS", "18"))
-        deadline = time.time() + max_wait
-        while time.time() < deadline and busy_cpus() >= 2.0:
-            time.sleep(2)
-        st, bw = steal_probe(), bw_probe()
-        while time.time() < deadline and (st >= 3.0 or bw < bw_min):
-            time.sleep(8)
-            st, bw = steal_probe(), bw_probe()
-        return st, bw
-
-    # a leg whose in-run steal share exceeds this was robbed by the
-    # hypervisor co-tenant mid-run: re-run it (bounded retries)
-    steal_limit = float(os.environ.get("SCALING_STEAL_LIMIT", "4.0"))
-    # a leg is also robbed if the shared DRAM bus degraded (co-tenant
-    # bandwidth pressure shows ZERO steal — round-3 confirm attempt 2
-    # read 15.9-16.0 GB/s gates and 0.74 efficiency at identical code);
-    # require the single-thread copy floor both BEFORE and AFTER the leg
-    bw_floor = float(os.environ.get("SCALING_BW_MIN_GBS", "18"))
-
-    def one(ncpu: int) -> dict:
-        # the wide leg saturates memory bandwidth, so co-tenant bandwidth
-        # bursts (invisible to steal) inflate it while the narrow leg is
-        # stable — give the wide leg more timed repeats (min-of-N) to
-        # find the uncontended window
-        leg_repeat = repeat if ncpu <= 8 else str(max(int(repeat), 3))
-        # (narrow legs are window-stable; wide legs get min-of-3)
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   BENCH_HEADLINE_ONLY="1", IMAGES_BENCH_ROWS=scaling_rows,
-                   BENCH_HEADLINE_REPEAT=leg_repeat)
-        warm_page_cache()
-        cmd = [sys.executable, os.path.abspath(__file__)]
-        if os.path.exists("/usr/bin/taskset"):
-            cmd = ["/usr/bin/taskset", "-c", f"0-{ncpu - 1}"] + cmd
-        best = None
-        for attempt in range(3):
-            gate_steal, gate_bw = wait_quiet()
-            s0 = cpu_stat()
-            out = subprocess.run(
-                cmd,
-                env=env, capture_output=True, text=True, check=True,
-                cwd=os.path.dirname(os.path.abspath(__file__)),
-            ).stdout
-            d = [b - a for a, b in zip(s0, cpu_stat())]
-            leg = json.loads(out.strip().splitlines()[-1])
-            leg["steal_pct"] = round(d[7] / max(1, sum(d)) * 100.0, 2)
-            leg["gate_steal_pct"] = round(gate_steal, 2)
-            leg["gate_bw_gbs"] = round(gate_bw, 1)
-            leg["post_bw_gbs"] = round(bw_probe(), 1)
-            leg["clean"] = (leg["steal_pct"] < steal_limit
-                            and leg["gate_bw_gbs"] >= bw_floor
-                            and leg["post_bw_gbs"] >= bw_floor)
-            if best is None or leg["value"] < best["value"]:
-                best = leg
-            if leg["clean"]:
-                break
-        return best
-
-    # two independent pairs with alternating leg order (8,32 then 32,8)
-    # — the round-2 campaign protocol (BASELINE.md). The HEADLINE is the
-    # MEDIAN pair (taking the max of noisy estimates biases the reported
-    # efficiency upward); pairwise, not cross-leg minima: mixing legs
-    # measured in different machine windows under- or over-states the
-    # ratio on this shared host. All pairs are reported alongside.
-    # 3 pairs: the lower-median stays robust to ONE pair whose wide leg
-    # caught a mid-run co-tenant bandwidth burst (gates only cover the
-    # leg start)
-    pairs = int(os.environ.get("SCALING_PAIRS", "3"))
-    # leg widths: default 8 -> 32; SCALING_LEGS="4,16" runs the same
-    # gated protocol at N=4 -> 4N=16 (the task's "N and 4N" criterion —
-    # at 16 workers the single host's shared DRAM bus is not saturated,
-    # so the wide leg is not charged for a contention a real 4N-node
-    # cluster, with a bus per node, cannot exhibit)
-    LO, HI = (int(x) for x in
-              os.environ.get("SCALING_LEGS", "8,32").split(","))
-    results = []
-    for i in range(pairs):
-        order = (LO, HI) if i % 2 == 0 else (HI, LO)
-        legs = {ncpu: one(ncpu) for ncpu in order}
-        lo, hi = legs[LO], legs[HI]
-        results.append((lo["value"] / hi["value"] / (HI // LO), lo, hi))
-
-    def pick_median(rs):
-        effs = sorted(r[0] for r in rs)
-        med = effs[(len(effs) - 1) // 2]  # lower median: conservative
-        return min(rs, key=lambda r: abs(r[0] - med))
-
-    # headline = median over pairs whose BOTH legs ran with in-run
-    # hypervisor steal under the limit (windows where the co-tenant
-    # robbed a leg measure the hypervisor, not the pipeline); if no
-    # pair is clean, fall back to the median over all pairs
-    clean = [r for r in results
-             if r[1].get("clean") and r[2].get("clean")]
-    eff, lo, hi = pick_median(clean or results)
-    return {
-        "metric": f"scaling_efficiency_{LO}_to_{HI}_cpus",
-        f"sec_{LO}": lo["value"],
-        f"sec_{HI}": hi["value"],
-        f"images_per_sec_{LO}": lo["images_per_sec"],
-        f"images_per_sec_{HI}": hi["images_per_sec"],
-        "scaling_efficiency": round(eff, 3),
-        "images_bench_rows": lo["images_bench_rows"],
-        "clean_pairs": len(clean),
-        "pairs": [
-            {f"sec_{LO}": l["value"], f"sec_{HI}": h["value"],
-             "efficiency": round(e, 3),
-             f"steal_pct_{LO}": l.get("steal_pct"),
-             f"steal_pct_{HI}": h.get("steal_pct"),
-             f"gate_bw_gbs_{LO}": l.get("gate_bw_gbs"),
-             f"gate_bw_gbs_{HI}": h.get("gate_bw_gbs"),
-             f"post_bw_gbs_{LO}": l.get("post_bw_gbs"),
-             f"post_bw_gbs_{HI}": h.get("post_bw_gbs"),
-             "clean": bool(l.get("clean") and h.get("clean"))}
-            for e, l, h in results],
-    }
-
-
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
-    else:
-        print(json.dumps(run_benchmarks()))
+    print(json.dumps(run_benchmarks()))

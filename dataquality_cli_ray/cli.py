@@ -154,13 +154,13 @@ def cmd_quality(args) -> int:
                         min_contrast=args.min_contrast)
     langid_model, ppl_model = build_models()
     # dedup decision over ALL inputs (cross-shard correctness), pruned
-    # scan; auto-switches driver-merge -> groupby shuffle on size
+    # scan; auto-switches driver merge -> partitioned task reduce on size
     import pyarrow.parquet as pq
 
     nrows = sum(pq.read_metadata(f).num_rows for f in files)
     dup_map = phash_dup_losers(
         read_parquet_fast(files, columns=[cfg.dedup_key, cfg.id_col]),
-        mode=args.dedup_mode, approx_rows=nrows)
+        mode="auto", approx_rows=nrows)
 
     def pipeline(shard_files):
         # one block per file, so each read task fuses with the kernels
@@ -388,11 +388,6 @@ def main(argv=None) -> int:
     q.add_argument("--output", required=True)
     q.add_argument("--shard-size", type=int, default=16)
     q.add_argument("--num-cpus", type=int, default=None)
-    q.add_argument("--dedup-mode",
-                   choices=["auto", "driver", "partitioned", "shuffle"],
-                   default="auto",
-                   help="phash-dedup aggregation: driver merge below "
-                        "the footer-row threshold, groupby shuffle above")
     q.add_argument("--align-threshold", type=float, default=None,
                    help="enable the image-caption alignment rule "
                         "(CLIP-archetype cosine; drop below threshold)")

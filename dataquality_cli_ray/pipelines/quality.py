@@ -8,46 +8,39 @@ mode Ray fuses it into ONE operator, one task per input file):
       → QualityFusedStage                       rules → decode → drop bytes
                                                 → langid → perplexity → scrub
                                                 (tasks w/ per-worker model
-                                                cache, or an actor pool)
-      → mark dup + finalize_decision            broadcast loser map (default)
-                                                or distributed left join
+                                                cache)
+      → mark dup + finalize_decision            resolved loser map (staged,
+                                                single) or distributed
+                                                left join (join)
 
 The dup pre-pass (a column-pruned scan of (phash, image_id) that never
-touches image bytes) runs FIRST, in the calling process, in the default
-``staged`` mode: the main pass then starts with the resolved loser map.
-Only ``dedup_mode="broadcast"`` runs the pre-pass as a detached Ray task
-CONCURRENTLY with the main scan, with the mark stage waiting on its
-result.
+touches image bytes) runs FIRST, in the calling process: the main pass
+then starts with the resolved loser map.
 
 Per-batch pre-aggregation (one row per phash per batch) bounds a hot
 phash's group to ≤ #blocks — the combiner playing the role of salted
 two-phase groupby (reference analogue: dedup is a *(doc claim)* at
 ``CLAUDE.md:27``; the groupby-keep-first shape is SURVEY.md §2.7/A10).
 
-Execution-model note (tasks vs actor pool): both are supported
-(``compute=``). Stateless tasks with a per-worker-process model cache
-are the default — Ray reuses worker processes, so models still load
-once per worker, but there is no fixed pool to fill, no pool-width
-tuning, and the scheduler load-balances blocks across every CPU (the
-fixed pool left ~25 % of the cluster idle and paid seconds of actor
-spin-up per run — measured, see BASELINE.md). The actor-pool path is
-kept for stages whose state is too heavy for lazy first-call loading.
+Stages run as stateless tasks with a per-worker-process model cache:
+Ray reuses worker processes, so models still load once per worker, but
+there is no fixed pool to fill or size, and the scheduler load-balances
+blocks across every CPU (a fixed actor pool left ~25 % of the cluster
+idle and paid seconds of actor spin-up per run — BASELINE.md).
 
 Scale notes (100 TB):
-- The loser-map broadcast holds only phashes that HAVE a duplicate
+- The loser map holds only phashes that HAVE a duplicate
   (≈ dup fraction × N). ``phash_dup_losers(mode="auto")`` switches the
-  aggregation from driver-merge to a ``groupby`` shuffle above a
-  footer-row threshold, and ``images_quality_pipeline(dedup_mode=
-  "join")`` replaces the broadcast entirely with a hash-partitioned
+  aggregation from driver-merge to a hash-partitioned task reduce above
+  a footer-row threshold, and ``images_quality_pipeline(dedup_mode=
+  "join")`` replaces the loser map entirely with a hash-partitioned
   ``Dataset.join`` (see also ``pipelines.dedup.semi_join_filter``) —
   no driver-side dup state at any size.
 - Image bytes never enter a shuffle; caption stages are Arrow
-  zero-copy; models ship once per worker/actor.
+  zero-copy; models ship once per worker.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -77,15 +70,16 @@ def _out_cols(cfg) -> list[str]:
     return OUTPUT_COLS
 
 # rows above which the dup aggregation stops merging on the driver and
-# uses the partitioned distributed reduce instead (mode="auto");
-# env-overridable for A/B tuning
-DUP_SHUFFLE_THRESHOLD_ROWS = int(
-    os.environ.get("DQRAY_DUP_SHUFFLE_THRESHOLD", 1_000_000))
+# uses the partitioned distributed reduce instead (mode="auto")
+DUP_SHUFFLE_THRESHOLD_ROWS = 1_000_000
 
 # fan-out of the partitioned dup reduce: stage-A tasks each split their
 # combiner rows into this many hash partitions; stage-B runs one merge
 # task per partition
 DUP_PARTITIONS = 32
+
+DUP_LOSER_MODES = ("auto", "driver", "partitioned")
+DEDUP_MODES = ("staged", "single", "join")
 
 
 def _parquet_rows(path: str) -> tuple[int, int | None]:
@@ -112,7 +106,7 @@ def _ray_cpus() -> int:
 
 def build_models(seed: int = 42) -> tuple[dict, dict]:
     """Deterministic langid + perplexity models from the seeded corpus
-    (the 'model artifacts' an actor would otherwise load from disk)."""
+    (the 'model artifacts' a worker would otherwise load from disk)."""
     texts, labels = seed_corpus(seed=seed)
     langid = train_langid_model(texts, labels)
     ppl = train_char_lm(texts)
@@ -169,11 +163,10 @@ def _dup_count_split_task(P: int, key_col: str,
     table was the other measured cost).
 
     Accepts either combiner outputs (key, winner, cnt) or RAW blocks
-    (any table containing key_col): raw blocks are counted inline,
-    which lets single-scan mode feed the reduce its already-
-    materialized label blocks with NO extra Dataset pass (a per-block
-    combiner pass over B blocks costs B task launches; this folds it
-    into the B/8 split tasks that run anyway)."""
+    (any table containing key_col): raw blocks are counted inline, so
+    a caller holding already-materialized blocks needs NO extra Dataset
+    pass (a per-block combiner pass over B blocks costs B task
+    launches; this folds it into the B/8 split tasks that run anyway)."""
     norm = []
     for x in tables:
         if "cnt" in x.column_names:
@@ -267,10 +260,10 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
                          id_col: str = "image_id",
                          P: int = DUP_PARTITIONS) -> tuple:
     """The two-round partitioned dup reduce fed DIRECTLY by block
-    ObjectRefs — no Ray Data plan at all. Single-scan mode uses this
-    over its already-materialized label blocks: the per-block combine
-    happens inside the ~B/8 split tasks instead of a B-task Dataset
-    combiner pass (B is large for label blocks — one per input file).
+    ObjectRefs — no Ray Data plan at all. ``phash_dup_losers``'s
+    "partitioned" mode feeds it combiner blocks; raw (key, id) blocks
+    work too, combined inside the ~B/8 split tasks instead of a B-task
+    Dataset combiner pass.
 
     Identical output to phash_dup_losers (pinned by
     test_dup_loser_modes_identical)."""
@@ -349,7 +342,8 @@ def phash_dup_losers(proj_ds: "rd.Dataset", mode: str = "auto",
     column-pruned read so bytes never flow through this aggregation.
 
     modes (the per-batch combiner runs in all — one row per phash per
-    batch, bounding a hot key's contribution to ≤ #blocks):
+    batch, bounding a hot key's contribution to ≤ #blocks; any other
+    mode raises ``ValueError``):
     - "auto": "driver" below DUP_SHUFFLE_THRESHOLD_ROWS (pass
       approx_rows from parquet footers; unknown → driver), else
       "partitioned".
@@ -359,30 +353,20 @@ def phash_dup_losers(proj_ds: "rd.Dataset", mode: str = "auto",
     - "partitioned": two-stage hash-partitioned reduce over Ray tasks
       (:func:`_dup_losers_partitioned`) — the 100 TB path; no driver
       state beyond the final dup-only map, scales with CPUs.
-    - "shuffle": ``Dataset.groupby(phash)`` over the combined rows —
-      semantically identical to "partitioned" but benchmarked ~3×
-      slower (sort-based exchange of tiny rows); kept as the
-      Dataset-API reference implementation.
-      (For corpora where even the LOSER set outgrows a broadcast, use
-      ``dup_groups_dataset`` + the join-based marking instead.)
+      (``Dataset.groupby(phash)`` benchmarked ~3× slower than this.)
+
+    For corpora where even the LOSER set outgrows a broadcast, use
+    ``dup_groups_dataset`` + the join-based marking instead.
     """
+    if mode not in DUP_LOSER_MODES:
+        raise ValueError(f"unknown dup-loser mode {mode!r}; "
+                         f"expected one of {DUP_LOSER_MODES}")
     if mode == "auto":
         mode = ("partitioned" if approx_rows is not None
                 and approx_rows > DUP_SHUFFLE_THRESHOLD_ROWS else "driver")
     combined = _dup_combined(proj_ds)
     if mode == "partitioned":
         return _dup_losers_partitioned(combined)
-    if mode == "shuffle":
-        agg = combined.repartition(64).groupby("phash").aggregate(
-            Min("winner", alias_name="winner"),
-            Sum("cnt", alias_name="cnt"),
-        )
-        dup = agg.filter(expr="cnt > 1")
-        parts = list(dup.iter_batches(batch_size=65536,
-                                      batch_format="pyarrow"))
-        if not parts:
-            return _empty_lookup()
-        return _winner_merge_local(pa.concat_tables(parts), "phash")
     import pandas as pd
 
     # driver merge in two int-dominated phases — shipping the STRING
@@ -429,12 +413,17 @@ def phash_dup_losers(proj_ds: "rd.Dataset", mode: str = "auto",
     return _winner_merge_local(pa.concat_tables(parts), "phash")
 
 
-def _staged_prepass(input_path: str, cfg, nrows, nfiles) -> tuple:
-    """The staged dup pre-pass: pruned packed Dataset scan + the
-    auto-mode reduce. (A raw-pyarrow-task variant that skipped the Ray
-    Data plan was benchmarked at 25.6 M rows and saved nothing — the
-    cost is the two-column read itself, not the executor ramp — so the
-    single Dataset path stays.)"""
+def _dup_prepass(input_path: str, cfg, nrows, nfiles) -> tuple:
+    """The dup pre-pass: pruned (dedup_key, id_col) Dataset scan + the
+    auto-mode reduce → the loser map. The read is PACKED into ~2
+    tasks/CPU: inputs written with small bounded files (the fused-read
+    layout) would otherwise spawn one tiny per-file task whose
+    open/footer overhead dominates a two-column scan (measured 2.7 s
+    packed vs 8.5 s per-file at 449 files / 3.2 M rows), but never more
+    blocks than files (oversplitting adds a SplitBlocks op). (A
+    raw-pyarrow-task variant that skipped the Ray Data plan was
+    benchmarked at 25.6 M rows and saved nothing — the cost is the
+    two-column read itself, not the executor ramp.)"""
     from ..sources.readers import read_table
 
     nb = max(2 * _ray_cpus(), 1)
@@ -443,48 +432,6 @@ def _staged_prepass(input_path: str, cfg, nrows, nfiles) -> tuple:
     proj = read_table(input_path, columns=[cfg.dedup_key, cfg.id_col],
                       override_num_blocks=nb)
     return phash_dup_losers(proj, mode="auto", approx_rows=nrows)
-
-
-@ray.remote(num_cpus=0)
-def _dup_prepass_task(input_path: str, key_col: str, id_col: str,
-                      approx_rows: int | None,
-                      n_files: int | None = None) -> tuple:
-    """The dedup aggregation as a detached task so it streams
-    CONCURRENTLY with the main scan (num_cpus=0: the inner Ray Data job
-    schedules its own tasks; this shell only drives it).
-
-    The pruned read is PACKED into ~2 tasks/CPU: inputs written with
-    small bounded files (the fused-read layout) would otherwise spawn
-    one tiny per-file task whose open/footer overhead dominates a
-    two-column scan (measured 2.7 s packed vs 8.5 s per-file at 449
-    files / 3.2 M rows)."""
-    from ..sources.readers import read_table
-
-    nb = max(2 * _ray_cpus(), 1)
-    if n_files:
-        nb = min(nb, n_files)   # never ask for more blocks than files:
-        #                         oversplitting adds a SplitBlocks op
-    proj = read_table(input_path, columns=[key_col, id_col],
-                      override_num_blocks=nb)
-    return phash_dup_losers(proj, mode="auto", approx_rows=approx_rows)
-
-
-def _dup_lookup(dup_map) -> tuple[np.ndarray, "pa.Array"]:
-    """Normalize a dup map to (sorted int64 keys, aligned winner Arrow
-    strings). The canonical producer format IS that tuple
-    (:func:`_winner_merge_local` — numpy + Arrow, near-zero-copy
-    pickle); a plain dict (external callers, tests) is converted
-    here once, not per batch."""
-    if isinstance(dup_map, tuple):
-        return dup_map
-    if not dup_map:
-        return _empty_lookup()
-    keys = np.fromiter(dup_map.keys(), dtype=np.int64, count=len(dup_map))
-    order = np.argsort(keys)
-    winners = pa.array(
-        np.asarray(list(dup_map.values()), dtype=object)[order],
-        type=pa.string())
-    return keys[order], winners
 
 
 def _mark_dup(batch: pa.Table, keys: np.ndarray,
@@ -518,12 +465,12 @@ class QualityFusedStage:
     All sub-stages are CPU-bound per-batch transforms with shared-
     nothing state, so fusing them eliminates inter-stage block handoffs
     — the kernels themselves are ~0.25 ms/row. Models are fetched from
-    the object store ONCE per worker process (actor ``__init__``, or
-    first call on a task worker via the module cache below).
+    the object store ONCE per worker process (first call on a task
+    worker, via the module cache below).
     """
 
     def __init__(self, cfg: QualityConfig, langid_ref, ppl_ref,
-                 decode: bool = True, keep_bytes: bool = False):
+                 decode: bool = True):
         self.rules = HeuristicRules(cfg)
         self.decode = DecodeImageStage() if decode else None
         if cfg.align_threshold is not None:
@@ -535,7 +482,6 @@ class QualityFusedStage:
         self.langid = LangIdScorer(langid_ref, min_score=cfg.langid_min_score)
         self.ppl = PerplexityScorer(ppl_ref, max_ppl=cfg.max_perplexity)
         self.scrub = PiiScrubber()
-        self.keep_bytes = keep_bytes
         self.min_px, self.max_aspect = cfg.min_image_px, cfg.max_aspect
         self.min_contrast = cfg.min_contrast
 
@@ -580,8 +526,8 @@ class QualityFusedStage:
             out = out.append_column("rule_misaligned", mis)
         # drop the image payload as soon as decode is done: labels flow
         # on without round-tripping megabytes per row through the object
-        # store (keep_bytes=True for pass-through sinks)
-        if not self.keep_bytes and "bytes" in out.column_names:
+        # store
+        if "bytes" in out.column_names:
             out = out.drop_columns(["bytes"])
         out = self.langid(out)
         out = self.ppl(out)
@@ -589,23 +535,20 @@ class QualityFusedStage:
         return out
 
 
-# per-WORKER-PROCESS caches for the stateless-task path: Ray reuses
-# worker processes across tasks, so state keyed by the objects' refs
-# loads once per worker — the actor-pool `__init__` semantics without a
-# fixed pool (see module docstring).
+# per-WORKER-PROCESS caches: Ray reuses worker processes across tasks,
+# so state keyed by the objects' refs loads once per worker — actor
+# `__init__` semantics without a fixed pool (see module docstring).
 _STAGE_CACHE: dict = {}
 _DUP_CACHE: dict = {}
 
 
 def _fused_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref,
-                   decode, keep_bytes) -> pa.Table:
-    key = (langid_ref.hex() if hasattr(langid_ref, "hex") else id(langid_ref),
-           decode, keep_bytes, cfg.align_threshold,
+                   decode) -> pa.Table:
+    key = (langid_ref.hex(), decode, cfg.align_threshold,
            cfg.min_image_px, cfg.max_aspect, cfg.min_contrast)
     stage = _STAGE_CACHE.get(key)
     if stage is None:
-        stage = QualityFusedStage(cfg, langid_ref, ppl_ref,
-                                  decode=decode, keep_bytes=keep_bytes)
+        stage = QualityFusedStage(cfg, langid_ref, ppl_ref, decode=decode)
         _STAGE_CACHE[key] = stage
         if len(_STAGE_CACHE) > 8:          # old model generations
             for k in list(_STAGE_CACHE)[:-4]:
@@ -618,39 +561,17 @@ def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref,
     if dup_ref is None:
         out = finalize_decision(batch)
         return out.select(select_cols) if select_cols else out
-    key = dup_ref.hex() if hasattr(dup_ref, "hex") else id(dup_ref)
+    key = dup_ref.hex()
     lookup = _DUP_CACHE.get(key)
     if lookup is None:
-        dup = ray.get(dup_ref)             # blocks until pre-pass done
-        if hasattr(dup, "hex") or "ObjectRef" in type(dup).__name__:
-            dup = ray.get(dup)             # task-handle indirection
-        lookup = _dup_lookup(dup)
+        lookup = ray.get(dup_ref)
         _DUP_CACHE.clear()
         _DUP_CACHE[key] = lookup
     out = finalize_decision(_mark_dup(batch, *lookup))
-    # column selection folded in: a trailing select_columns would be a
-    # THIRD operator, and every operator dilutes the fused op's share
+    # column selection folded in: a trailing select_columns would be
+    # another operator, and every operator dilutes the fused op's share
     # under the executor's per-op resource reservation
     return out.select(select_cols) if select_cols else out
-
-
-class _MarkFinalizeStage:
-    """Actor form of mark+finalize (compute="actors")."""
-
-    def __init__(self, dup_ref=None):
-        if dup_ref is None:
-            self.lookup = None
-        else:
-            dup = ray.get(dup_ref) if "ObjectRef" in type(dup_ref).__name__ \
-                else dup_ref
-            if "ObjectRef" in type(dup).__name__:
-                dup = ray.get(dup)
-            self.lookup = _dup_lookup(dup)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.lookup is None:
-            return finalize_decision(batch)
-        return finalize_decision(_mark_dup(batch, *self.lookup))
 
 
 def _mark_finalize_join(out: "rd.Dataset", dup_ds: "rd.Dataset",
@@ -683,117 +604,70 @@ def _mark_finalize_join(out: "rd.Dataset", dup_ds: "rd.Dataset",
     return joined.map_batches(mark, batch_format="pyarrow", batch_size=65536)
 
 
+def _fused(ds: "rd.Dataset", cfg: QualityConfig, langid_model, ppl_model,
+           decode: bool) -> "rd.Dataset":
+    """The fused per-row model stage over ``ds``, whole-block batches;
+    the models ship once through the object store (default: the seeded
+    :func:`build_models`)."""
+    if langid_model is None or ppl_model is None:
+        lm, pm = build_models()
+        langid_model = langid_model or lm
+        ppl_model = ppl_model or pm
+    return ds.map_batches(
+        _fused_task_fn,
+        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
+                   "ppl_ref": ray.put(ppl_model), "decode": decode},
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
+
+
+def _mark_finalize(ds: "rd.Dataset", dup_map: tuple | None,
+                   cfg: QualityConfig, select_output: bool) -> "rd.Dataset":
+    """Mark dups against the resolved loser map (None: no dedup) and
+    finalize, whole-block batches. Same remote args as :func:`_fused`,
+    so Ray fuses the two into one operator."""
+    return ds.map_batches(
+        _mark_finalize_task_fn,
+        fn_kwargs={"dup_ref": None if dup_map is None else ray.put(dup_map),
+                   "select_cols": _out_cols(cfg) if select_output else None},
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
+
+
 def quality_pipeline(
     ds: "rd.Dataset",
-    dup_map: dict[int, str] | None,
+    dup_map: tuple | None,
     cfg: QualityConfig | None = None,
     langid_model: dict | None = None,
     ppl_model: dict | None = None,
     decode: bool = True,
     select_output: bool = True,
-    model_concurrency: int | tuple | None = None,
-    batch_size: int | None = None,
-    keep_bytes: bool = False,
-    compute: str = "tasks",
-    dup_ref=None,
     dup_ds: "rd.Dataset | None" = None,
 ) -> "rd.Dataset":
     """Assemble the flagship pipeline over an input Dataset.
 
-    Exactly one of ``dup_map`` (in-driver dict), ``dup_ref`` (ObjectRef
-    to a dict — possibly the pending result of a concurrent pre-pass
-    task), or ``dup_ds`` ((phash, winner) Dataset → join marking) should
-    be set; all None disables dedup marking.
+    Dups are marked against ``dup_map`` (the loser map from
+    :func:`phash_dup_losers`) or by joining ``dup_ds`` ((phash, winner)
+    Dataset from :func:`dup_groups_dataset`); both None disables dedup
+    marking.
     """
     cfg = cfg or QualityConfig()
-    if langid_model is None or ppl_model is None:
-        lm, pm = build_models()
-        langid_model = langid_model or lm
-        ppl_model = ppl_model or pm
-
-    langid_ref = ray.put(langid_model)
-    ppl_ref = ray.put(ppl_model)
-    if dup_ref is None and dup_map is not None:
-        dup_ref = ray.put(dup_map)
-
-    if compute == "actors":
-        if model_concurrency is None:
-            # fixed pool sized from the RAY cluster, not os.cpu_count()
-            # — they differ under ray.init(num_cpus=N), and a fixed
-            # pool larger than the cluster deadlocks. ~3/4 of the
-            # cluster for the model stage, the rest for read/consume —
-            # a pool that takes every CPU starves its own input.
-            model_concurrency = max(2, int(_ray_cpus() * 0.75))
-        out = ds.map_batches(
-            QualityFusedStage,
-            fn_constructor_kwargs={
-                "cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,
-                "decode": decode, "keep_bytes": keep_bytes,
-            },
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=model_concurrency, zero_copy_batch=True,
-        )
-    else:
-        out = ds.map_batches(
-            _fused_task_fn,
-            fn_kwargs={
-                "cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,
-                "decode": decode, "keep_bytes": keep_bytes,
-            },
-            batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True,
-        )
-
-    if dup_ds is not None:
-        out = _mark_finalize_join(out, dup_ds)
-    elif compute == "actors":
-        out = out.map_batches(
-            _MarkFinalizeStage, fn_constructor_kwargs={"dup_ref": dup_ref},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 8), zero_copy_batch=True,
-        )
-    else:
-        # fusion barrier when the dup map may still be pending: with
-        # identical remote args Ray fuses read -> fused -> mark into ONE
-        # task chain, and every first-wave task would then block inside
-        # mark's ray.get(dup_ref) — idling the whole cluster until the
-        # pre-pass finishes. A differing num_cpus keeps mark a separate
-        # (cheap, bytes-free) operator that streams behind the heavy op.
-        # Both knobs are load-bearing:
-        # - concurrency cap: without it HUNDREDS of mark tasks launch
-        #   and park in ray.get — each parked worker pins its input
-        #   block, and the memory backpressure throttles the producer
-        #   the pre-pass needs to finish ahead of (38 s vs 26 s, 3.2 M).
-        # - num_cpus=0: any positive value RESERVES slots for the
-        #   (parked or 35 ms-cheap) mark tasks for the whole run — at
-        #   0.5 × 16 the fused op was capped at 24/32 CPUs end-to-end,
-        #   measured ~22 busy and 39 s vs 29 busy and 25 s at 6.4 M.
-        #   Zero-cpu tasks oversubscribe by at most the cap × 35 ms.
-        mark_args = {"num_cpus": 0, "concurrency": 16} if (
-            dup_ref is not None and dup_map is None) else {}
-        out = out.map_batches(
-            _mark_finalize_task_fn,
-            fn_kwargs={"dup_ref": dup_ref,
-                       "select_cols": _out_cols(cfg) if select_output else None},
-            batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True, **mark_args,
-        )
-        return out
-    if select_output:
-        out = out.select_columns(_out_cols(cfg))
-    return out
+    out = _fused(ds, cfg, langid_model, ppl_model, decode)
+    if dup_ds is None:
+        return _mark_finalize(out, dup_map, cfg, select_output)
+    out = _mark_finalize_join(out, dup_ds)
+    return out.select_columns(_out_cols(cfg)) if select_output else out
 
 
 def _single_read_pipeline(
     ds: "rd.Dataset", cfg: QualityConfig, decode: bool,
     langid_model: dict | None = None, ppl_model: dict | None = None,
-    select_output: bool = True, batch_size: int | None = None,
-    keep_bytes: bool = False, spill_dir: str | None = None,
+    select_output: bool = True, spill_dir: str | None = None,
 ) -> "rd.Dataset":
     """ONE pass over the raw input: read → kernels fused into a single
     operator producing the compact label rows (~190 B/row — the image
     payload never leaves the read task), streamed STRAIGHT TO PARQUET
-    (``spill_dir``, one file per label block); the dup decision then
+    (``spill_dir``, one file per label block); the dup pre-pass then
     runs over a pruned 2-column read of the label shards (no second
     scan of the raw table — at 100 TB the pruned pre-pass read is the
     expensive part); finally a cheap mark+finalize pass over the label
@@ -806,61 +680,38 @@ def _single_read_pipeline(
     decision, and the label shards double as a resume point (re-running
     the dup/mark phase never re-reads the raw table). ``spill_dir``
     defaults to a fresh temp dir; pass a durable path to keep the label
-    shards as the checkpoint artifact.
-
-    ``keep_bytes=True`` (pass-through sinks) carries the payload column
-    into the label shards — single mode then pays a disk round-trip for
-    the full payload; staged mode is the better fit there."""
+    shards as the checkpoint artifact."""
     import tempfile
 
-    if langid_model is None or ppl_model is None:
-        lm, pm = build_models()
-        langid_model = langid_model or lm
-        ppl_model = ppl_model or pm
-    langid_ref = ray.put(langid_model)
-    ppl_ref = ray.put(ppl_model)
-    if spill_dir is None:
-        spill_dir = tempfile.mkdtemp(prefix="dq_single_labels_")
-    ds.map_batches(
-        _fused_task_fn,
-        fn_kwargs={"cfg": cfg, "langid_ref": langid_ref,
-                   "ppl_ref": ppl_ref, "decode": decode,
-                   "keep_bytes": keep_bytes},
-        batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ).write_parquet(spill_dir)
     from ..sources.readers import read_parquet_fast
 
+    if spill_dir is None:
+        spill_dir = tempfile.mkdtemp(prefix="dq_single_labels_")
+    _fused(ds, cfg, langid_model, ppl_model, decode).write_parquet(spill_dir)
     nrows, nfiles = _parquet_rows(spill_dir)
-    nb = max(2 * _ray_cpus(), 1)
-    if nfiles:
-        nb = min(nb, nfiles)
-    proj = read_parquet_fast(spill_dir,
-                             columns=[cfg.dedup_key, cfg.id_col],
-                             override_num_blocks=nb)
-    dup_map = phash_dup_losers(proj, mode="auto", approx_rows=nrows)
-    dup_ref = ray.put(dup_map)
-    return read_parquet_fast(
-        spill_dir, override_num_blocks=nfiles or None).map_batches(
-        _mark_finalize_task_fn,
-        fn_kwargs={"dup_ref": dup_ref,
-                   "select_cols": _out_cols(cfg) if select_output else None},
-        batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    )
+    dup_map = _dup_prepass(spill_dir, cfg, nrows, nfiles)
+    labels = read_parquet_fast(spill_dir, override_num_blocks=nfiles or None)
+    return _mark_finalize(labels, dup_map, cfg, select_output)
 
 
 def images_quality_pipeline(
     input_path: str,
     cfg: QualityConfig | None = None,
     decode: bool = True,
-    dup_map: dict[int, str] | None = None,
     dedup_mode: str = "staged",
     **kw,
 ) -> "rd.Dataset":
     """End-to-end over a parquet images table.
 
-    dedup_mode:
+    dedup_mode (any other value raises ``ValueError``):
+    - "staged" (default): the dup pre-pass runs FIRST at full cluster
+      width (it scans only (phash, image_id)); the main pass then gets
+      the resolved loser map and Ray fuses read → kernels →
+      mark(+select) into ONE operator at full parallelism. A single-op
+      plan sidesteps the streaming executor's per-operator resource
+      reservation, which caps a producer op at ~2/3 of the cluster
+      whenever a downstream operator exists (measured 21.6 vs 29 busy
+      CPUs of 32; see BASELINE.md).
     - "single": ONE scan of the raw table — kernels run fused with the
       read, compact labels stream straight to parquet shards, and the
       dup decision + marking run over the shards (no pruned pre-pass
@@ -868,20 +719,6 @@ def images_quality_pipeline(
       input twice is expensive (remote storage / 100 TB) and when
       label rows ≪ input bytes. No object-store footprint: the label
       write backpressures, and the shards double as a resume point.
-    - "staged" (default): the dedup aggregation runs FIRST at full
-      cluster width (a few seconds — it scans only (phash, image_id));
-      the main pass then gets the resolved loser map and Ray fuses
-      read → kernels → mark(+select) into ONE operator at full
-      parallelism. A single-op plan sidesteps the streaming executor's
-      per-operator resource reservation, which caps a producer op at
-      ~2/3 of the cluster whenever a downstream operator exists
-      (measured 21.6 vs 29 busy CPUs of 32; see BASELINE.md).
-    - "broadcast": the dedup aggregation runs as a DETACHED task over
-      the pruned scan, CONCURRENTLY with the main pass; the loser map
-      arrives at the final mark stage as an ObjectRef. Overlaps the
-      pre-pass but splits the plan into two operators (reservation cap
-      above) — keeps the cluster fed during the pre-pass window at the
-      price of a slower steady state.
     - "join": fully distributed — the dup decision stays a Dataset and
       marking is a hash-partitioned left join (no driver dup state).
 
@@ -901,6 +738,9 @@ def images_quality_pipeline(
     so Ray size-splits a large file's output inside its read task,
     bounding per-task transient memory. Lance inputs (no file count)
     keep Ray's default."""
+    if dedup_mode not in DEDUP_MODES:
+        raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
+                         f"expected one of {DEDUP_MODES}")
     cfg = cfg or QualityConfig()
     # cap block size so a fused read task's in-flight decode buffers
     # stay bounded even on inputs with huge row groups; 32 MiB of
@@ -911,47 +751,35 @@ def images_quality_pipeline(
         ctx.target_max_block_size or (128 << 20), 32 << 20)
     from ..sources.readers import read_table
 
-    # The staged (and resolved-dup-map) plan fuses to ONE operator, so
-    # the streaming executor's per-op resource reservation buys nothing
-    # — yet it still withholds slots (measured 25.7 → 22.3 s at 25.6 M
-    # rows / 32 CPUs with it disabled; steady busy 26.5 → 29+). The
+    # The staged plan fuses to ONE operator, so the streaming
+    # executor's per-op resource reservation buys nothing — yet it
+    # still withholds slots (measured 25.7 → 22.3 s at 25.6 M rows /
+    # 32 CPUs with it disabled; steady busy 26.5 → 29+). The
     # DataContext is SNAPSHOTTED when the source Dataset is created, so
     # the flag is scoped to this plan: disabled before read_table,
-    # restored right after the plan is assembled. Multi-op modes
-    # (broadcast's parked mark stage, join's shuffle actors) keep the
+    # restored right after the plan is assembled. The multi-op modes
+    # (single's write + re-read, join's shuffle actors) keep the
     # reservation — it is load-bearing against starvation there.
-    single_op_plan = dedup_mode == "staged" or dup_map is not None
+    staged = dedup_mode == "staged"
     prev_reservation = ctx.op_resource_reservation_enabled
-    if single_op_plan:
+    if staged:
         ctx.op_resource_reservation_enabled = False
     try:
         nrows, nfiles = _parquet_rows(input_path)
         # one block per file: the per-file read task then fuses with the
         # kernel chain (lance, nfiles None, keeps Ray's default)
         ds = read_table(input_path, override_num_blocks=nfiles or None)
-        if dedup_mode == "single" and dup_map is None:
+        if dedup_mode == "single":
             return _single_read_pipeline(ds, cfg, decode, **kw)
-        if dedup_mode == "join" and dup_map is None:
+        if dedup_mode == "join":
             proj = read_table(input_path,
                               columns=[cfg.dedup_key, cfg.id_col])
             return quality_pipeline(ds, None, cfg, decode=decode,
                                     dup_ds=dup_groups_dataset(proj), **kw)
-        if dup_map is None:
-            if dedup_mode == "staged":
-                # run the pre-pass DIRECTLY from the driver: the
-                # detached shell task added 1-2 s (task launch + a
-                # second in-worker footer prefetch) that the staged
-                # mode, which blocks on the result anyway, has no
-                # reason to pay
-                dup_map = _staged_prepass(input_path, cfg, nrows, nfiles)
-            else:
-                dup_ref = _dup_prepass_task.remote(
-                    input_path, cfg.dedup_key, cfg.id_col, nrows, nfiles)
-                return quality_pipeline(ds, None, cfg, decode=decode,
-                                        dup_ref=dup_ref, **kw)
+        dup_map = _dup_prepass(input_path, cfg, nrows, nfiles)
         return quality_pipeline(ds, dup_map, cfg, decode=decode, **kw)
     finally:
-        if single_op_plan:
+        if staged:
             ctx.op_resource_reservation_enabled = prev_reservation
 
 

@@ -114,13 +114,11 @@ def test_align_rule_in_flagship(ray_session, images_path, models):
 
     lm, pm = models
     base = images_quality_pipeline(
-        images_path, QualityConfig(), langid_model=lm, ppl_model=pm,
-        model_concurrency=1).to_pandas().sort_values("image_id")
+        images_path, QualityConfig(), langid_model=lm, ppl_model=pm).to_pandas().sort_values("image_id")
     assert "align_score" not in base.columns      # default: stage off
     cfg = QualityConfig(align_threshold=0.0)
     out = images_quality_pipeline(
-        images_path, cfg, langid_model=lm, ppl_model=pm,
-        model_concurrency=1).to_pandas().sort_values("image_id")
+        images_path, cfg, langid_model=lm, ppl_model=pm).to_pandas().sort_values("image_id")
     assert "align_score" in out.columns
     mis = out["drop_reason"] == "misaligned"
     assert mis.any()
@@ -147,8 +145,7 @@ def test_image_size_rule(ray_session, images_path, models):
 
     cfg = QualityConfig(min_image_px=17, max_aspect=2.5)
     out = images_quality_pipeline(
-        images_path, cfg, langid_model=models[0], ppl_model=models[1],
-        model_concurrency=1).to_pandas().set_index("image_id")
+        images_path, cfg, langid_model=models[0], ppl_model=models[1]).to_pandas().set_index("image_id")
     meta = pq.read_table(images_path, columns=["image_id", "w", "h"]
                          ).to_pandas().set_index("image_id")
     m = out.join(meta)
@@ -198,8 +195,7 @@ def test_low_information_rule(ray_session, images_path, models):
     thr = 55.7  # fixture median-ish: fires on ~half the decodable rows
     cfg = QualityConfig(min_contrast=thr)
     out = images_quality_pipeline(
-        images_path, cfg, langid_model=models[0], ppl_model=models[1],
-        model_concurrency=1).to_pandas().set_index("image_id")
+        images_path, cfg, langid_model=models[0], ppl_model=models[1]).to_pandas().set_index("image_id")
     fired = out["drop_reason"] == "low_information"
     assert fired.any()
     # recompute contrast independently over the same fixture

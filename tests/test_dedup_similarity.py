@@ -196,7 +196,7 @@ def test_semi_join_filter(ray_session):
 
 def test_quality_join_dedup_matches_broadcast(ray_session, images_path, models):
     """dedup_mode='join' (hash-partitioned left join, zero driver dup
-    state) must produce exactly the broadcast loser-map decision."""
+    state) must produce exactly the staged loser-map decision."""
     from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
     from dataquality_cli_ray.stages.rules import QualityConfig
 

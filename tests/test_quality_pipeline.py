@@ -18,10 +18,8 @@ from dataquality_cli_ray.stages.rules import QualityConfig
 
 @pytest.fixture(scope="module")
 def pipeline_and_golden(ray_session, images_path, models):
-    # concurrency=1: the 4-CPU test session must fit three 1-actor pools
     cfg = QualityConfig()
-    out = images_quality_pipeline(images_path, cfg,
-                                  model_concurrency=1).to_pandas()
+    out = images_quality_pipeline(images_path, cfg).to_pandas()
     out = out.sort_values("image_id").reset_index(drop=True)
     rows = pq.read_table(images_path).to_pylist()
     lm, pm = models
@@ -116,19 +114,14 @@ def test_single_mode_matches_staged(ray_session, images_path, models,
         images_path, QualityConfig(), dedup_mode="single",
         langid_model=lm, ppl_model=pm, spill_dir=spill,
     ).to_pandas().sort_values("image_id").reset_index(drop=True)
-    m = pipeline_and_golden
-    assert len(out) == len(m)
-    assert (out["keep"].to_numpy() == m["keep"].to_numpy()).all()
-    assert (out["drop_reason"].fillna("").to_numpy()
-            == m["drop_reason"].fillna("").to_numpy()).all()
-    assert (out["caption_scrubbed"].to_numpy()
-            == m["caption_scrubbed"].to_numpy()).all()
+    staged = pipeline_and_golden[list(out.columns)]
+    pd.testing.assert_frame_equal(out, staged)
     import glob
     assert glob.glob(spill + "/*.parquet"), "label shards not written"
 
 
 def test_dup_loser_modes_identical(ray_session, images_path):
-    """driver / partitioned / shuffle dup decisions are value-identical
+    """driver / partitioned dup decisions are value-identical
     (partitioned is what mode='auto' selects at scale)."""
     import ray.data as rd
     from dataquality_cli_ray.pipelines.quality import phash_dup_losers
@@ -141,16 +134,31 @@ def test_dup_loser_modes_identical(ray_session, images_path):
     ref = run("driver")
     assert len(ref) > 0          # fixture has a hot phash bucket
     assert run("partitioned") == ref
-    assert run("shuffle") == ref
 
-    # refs path over RAW blocks (what single-scan mode feeds it):
-    # per-block combine happens inside the split tasks
+    # refs path over RAW blocks: per-block combine happens inside the
+    # split tasks
     from dataquality_cli_ray.pipelines.quality import dup_losers_from_refs
 
     raw = rd.read_parquet(images_path, columns=["phash", "image_id"])
     k2, w2 = dup_losers_from_refs(raw.materialize().to_arrow_refs(),
                                   "phash", "image_id")
     assert dict(zip(k2.tolist(), w2.to_pylist())) == ref
+
+
+def test_unknown_modes_rejected(ray_session, images_path):
+    """A mode outside the supported set raises instead of silently
+    running some other plan (modes are case-sensitive)."""
+    import ray.data as rd
+    from dataquality_cli_ray.pipelines.quality import phash_dup_losers
+
+    for mode in ("broadcast", "Staged", "shuffle"):
+        with pytest.raises(ValueError, match="dedup_mode"):
+            images_quality_pipeline(images_path, QualityConfig(),
+                                    dedup_mode=mode)
+    proj = rd.read_parquet(images_path, columns=["phash", "image_id"])
+    for mode in ("shuffle", "Driver"):
+        with pytest.raises(ValueError, match="dup-loser mode"):
+            phash_dup_losers(proj, mode=mode)
 
 
 def test_pipeline_metrics_from_stats(ray_session, images_path, models):
@@ -163,8 +171,7 @@ def test_pipeline_metrics_from_stats(ray_session, images_path, models):
 
     out = images_quality_pipeline(images_path, QualityConfig(),
                                   langid_model=models[0],
-                                  ppl_model=models[1],
-                                  model_concurrency=1)
+                                  ppl_model=models[1])
     n = 0                                # consume THIS plan (count()
     for b in out.iter_batches(batch_format="pyarrow"):   # runs a new one)
         n += b.num_rows

@@ -21,10 +21,23 @@ import warnings
 warnings.filterwarnings("ignore")
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-# default: the CPUs this process may run on (its affinity mask; `nproc`
-# can report fewer, since it honours OMP_NUM_THREADS)
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
-                              len(os.sched_getaffinity(0))))
+
+
+def _host_width() -> int:
+    """What ``nproc`` prints (the CPU-count rule dqbench uses too): the
+    CPUs this process may run on, limited by ``OMP_NUM_THREADS`` /
+    ``OMP_THREAD_LIMIT`` when set."""
+    import subprocess
+
+    try:
+        return int(subprocess.run(["nproc"], capture_output=True, text=True,
+                                  check=True, timeout=10).stdout.strip())
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return len(os.sched_getaffinity(0))
+
+
+# RAY_GRAFT_CPUS overrides the host width
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or _host_width())
 
 
 def _bench_rows() -> int:

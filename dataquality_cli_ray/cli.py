@@ -134,7 +134,6 @@ def cmd_describe(args) -> int:
 
 def cmd_quality(args) -> int:
     _ray_session(args.num_cpus)
-    import ray.data as rd
 
     from .pipelines.quality import build_models, quality_pipeline, phash_dup_losers
     from .sources.readers import read_parquet_fast
@@ -154,13 +153,9 @@ def cmd_quality(args) -> int:
                         min_contrast=args.min_contrast)
     langid_model, ppl_model = build_models()
     # dedup decision over ALL inputs (cross-shard correctness), pruned
-    # scan; auto-switches driver merge -> partitioned task reduce on size
-    import pyarrow.parquet as pq
-
-    nrows = sum(pq.read_metadata(f).num_rows for f in files)
-    dup_map = phash_dup_losers(
-        read_parquet_fast(files, columns=[cfg.dedup_key, cfg.id_col]),
-        mode="auto", approx_rows=nrows)
+    # scan; auto-switches in-process merge -> partitioned task reduce on
+    # size
+    dup_map = phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
 
     def pipeline(shard_files):
         # one block per file, so each read task fuses with the kernels

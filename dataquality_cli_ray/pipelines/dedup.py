@@ -160,7 +160,7 @@ def exact_dedup_by_text(ds: "rd.Dataset", text_col: str, id_col: str) -> "rd.Dat
 #
 # LSH pair generation over exploded (bucket_key, id, payload) rows as a
 # two-stage hash-partitioned exchange over raw Ray tasks — the same
-# documented Dataset-first exception as ``quality._dup_losers_partitioned``
+# documented Dataset-first exception as ``quality.dup_losers_from_refs``
 # (``Dataset.groupby`` pays a sort-based shuffle on these tiny rows:
 # measured 11.5 s for the count pass + 7.5 s of per-group ``map_groups``
 # over 80 k exploded rows / 3.3 k buckets at sf0.1; the exchange does the

@@ -15,12 +15,14 @@ mode Ray fuses it into ONE operator, one task per input file):
 
 The dup pre-pass (a column-pruned scan of (phash, image_id) that never
 touches image bytes) runs FIRST, in the calling process: the main pass
-then starts with the resolved loser map.
-
-Per-batch pre-aggregation (one row per phash per batch) bounds a hot
-phash's group to ≤ #blocks — the combiner playing the role of salted
-two-phase groupby (reference analogue: dedup is a *(doc claim)* at
-``CLAUDE.md:27``; the groupby-keep-first shape is SURVEY.md §2.7/A10).
+then starts with the resolved loser map. Up to 1 M footer rows it starts
+no Ray job at all — pyarrow reads the two columns and one ``group_by``
+resolves the map; above that, a per-batch pre-aggregation (one row per
+phash per batch, bounding a hot phash's group to ≤ #blocks — the
+combiner playing the role of salted two-phase groupby) feeds a
+hash-partitioned task reduce (reference analogue: dedup is a *(doc
+claim)* at ``CLAUDE.md:27``; the groupby-keep-first shape is SURVEY.md
+§2.7/A10).
 
 Stages run as stateless tasks with a per-worker-process model cache:
 Ray reuses worker processes, so models still load once per worker, but
@@ -31,11 +33,12 @@ idle and paid seconds of actor spin-up per run — BASELINE.md).
 Scale notes (100 TB):
 - The loser map holds only phashes that HAVE a duplicate
   (≈ dup fraction × N). ``phash_dup_losers(mode="auto")`` switches the
-  aggregation from driver-merge to a hash-partitioned task reduce above
-  a footer-row threshold, and ``images_quality_pipeline(dedup_mode=
-  "join")`` replaces the loser map entirely with a hash-partitioned
-  ``Dataset.join`` (see also ``pipelines.dedup.semi_join_filter``) —
-  no driver-side dup state at any size.
+  aggregation from an in-process pyarrow merge to a hash-partitioned
+  task reduce above a footer-row threshold, and
+  ``images_quality_pipeline(dedup_mode="join")`` replaces the loser map
+  entirely with a hash-partitioned ``Dataset.join`` (see also
+  ``pipelines.dedup.semi_join_filter``) — no driver-side dup state at
+  any size.
 - Image bytes never enter a shuffle; caption stages are Arrow
   zero-copy; models ship once per worker.
 """
@@ -69,8 +72,9 @@ def _out_cols(cfg) -> list[str]:
         return OUTPUT_COLS + ["align_score"]
     return OUTPUT_COLS
 
-# rows above which the dup aggregation stops merging on the driver and
-# uses the partitioned distributed reduce instead (mode="auto")
+# rows above which the dup aggregation stops merging in the calling
+# process and uses the partitioned distributed reduce instead
+# (mode="auto")
 DUP_SHUFFLE_THRESHOLD_ROWS = 1_000_000
 
 # fan-out of the partitioned dup reduce: stage-A tasks each split their
@@ -80,18 +84,6 @@ DUP_PARTITIONS = 32
 
 DUP_LOSER_MODES = ("auto", "driver", "partitioned")
 DEDUP_MODES = ("staged", "single", "join")
-
-
-def _parquet_rows(path: str) -> tuple[int, int | None]:
-    """(total rows, file count or None) from table metadata only.
-
-    Parquet: footers via :func:`..sources.readers.parquet_footer_rows`
-    (thread pool + seeds the shared footer cache so the pipeline's
-    subsequent reads plan without re-reading them). Lance: manifest
-    row count (north rule reads Lance tables when the lib exists)."""
-    from ..sources.readers import table_rows
-
-    return table_rows(path)
 
 
 def _ray_cpus() -> int:
@@ -114,20 +106,25 @@ def build_models(seed: int = 42) -> tuple[dict, dict]:
 
 
 class _DupCombiner:
-    """Per-batch pre-aggregation for dedup: one (phash, winner, cnt) row
-    per distinct phash per batch — the combiner that defuses hot keys."""
+    """Per-batch pre-aggregation for dedup: one (key, winner, cnt) row
+    per distinct key per batch — the combiner that defuses hot keys.
+    The count is of the KEY, so null keys never count as duplicates."""
+
+    def __init__(self, key_col: str = "phash", id_col: str = "image_id"):
+        self.key_col, self.id_col = key_col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        g = batch.group_by("phash").aggregate(
-            [("image_id", "min"), ("phash", "count")]
+        g = batch.group_by(self.key_col).aggregate(
+            [(self.id_col, "min"), (self.key_col, "count")]
         )
-        return g.rename_columns(["phash", "winner", "cnt"])
+        return g.rename_columns([self.key_col, "winner", "cnt"])
 
 
-def _dup_combined(proj_ds: "rd.Dataset") -> "rd.Dataset":
+def _dup_combined(proj_ds: "rd.Dataset", key_col: str = "phash",
+                  id_col: str = "image_id") -> "rd.Dataset":
     return proj_ds.map_batches(
-        _DupCombiner(), batch_format="pyarrow", batch_size=65536,
-        zero_copy_batch=True,
+        _DupCombiner(key_col, id_col), batch_format="pyarrow",
+        batch_size=65536, zero_copy_batch=True,
     )
 
 
@@ -259,11 +256,24 @@ def _dup_winner_merge(key_col: str, *parts: pa.Table) -> tuple:
 def dup_losers_from_refs(refs: list, key_col: str = "phash",
                          id_col: str = "image_id",
                          P: int = DUP_PARTITIONS) -> tuple:
-    """The two-round partitioned dup reduce fed DIRECTLY by block
-    ObjectRefs — no Ray Data plan at all. ``phash_dup_losers``'s
+    """The distributed dup decision: a two-ROUND hash-partitioned reduce
+    over raw Ray tasks fed DIRECTLY by block ObjectRefs — no Ray Data
+    plan at all (``Dataset.groupby`` benchmarked ~3× slower than even a
+    single-threaded driver merge on this all-to-all of tiny rows — a
+    manual exchange of pre-combined (key, winner, cnt) tables is the
+    documented exception to Dataset-first). ``phash_dup_losers``'s
     "partitioned" mode feeds it combiner blocks; raw (key, id) blocks
     work too, combined inside the ~B/8 split tasks instead of a B-task
     Dataset combiner pass.
+
+    Round 1 exchanges int-only (key, cnt) to find the global dup keys;
+    round 2 broadcasts those keys (O(dups)) and pulls just their
+    (key, winner) rows from the pinned blocks. The string column never
+    rides the wide exchange (measured: the reduce fell from 12–14 s to
+    ~3 s at 12.8 M rows / 32 CPUs). No driver-side state proportional
+    to distinct keys; scales with CPUs at every stage. (P >= 2 always:
+    with num_returns=1 Ray would hand the merge task the whole returned
+    LIST instead of unpacking it per partition.)
 
     Identical output to phash_dup_losers (pinned by
     test_dup_loser_modes_identical)."""
@@ -300,30 +310,6 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
     return ray.get(_dup_winner_merge.remote(key_col, *winner_parts))
 
 
-def _dup_losers_partitioned(combined: "rd.Dataset",
-                            P: int = DUP_PARTITIONS) -> dict[int, str]:
-    """Distributed dup decision as a two-ROUND hash-partitioned reduce
-    over raw Ray tasks (Dataset.groupby benchmarked ~3× slower than
-    even the single-threaded driver merge on this all-to-all of tiny
-    rows — a manual exchange of pre-combined (phash, winner, cnt)
-    tables is the documented exception to Dataset-first).
-
-    Round 1 exchanges int-only (phash, cnt) to find the global dup
-    keys; round 2 broadcasts those keys (O(dups)) and pulls just their
-    (phash, winner) rows from the pinned combiner blocks. The string
-    column never rides the wide exchange (measured: the reduce fell
-    from 12–14 s to ~3 s at 12.8 M rows / 32 CPUs).
-
-    No driver-side state proportional to distinct keys: the driver only
-    touches block refs, the dup-key array and the final dup-loser map
-    (all O(actual duplicates)). Scales with CPUs at every stage.
-
-    (P >= 2 always — enforced in dup_losers_from_refs: with
-    num_returns=1 Ray would hand the merge task the whole returned
-    LIST instead of unpacking it per partition.)"""
-    return dup_losers_from_refs(_executed_block_refs(combined), P=P)
-
-
 def _executed_block_refs(ds: "rd.Dataset") -> list:
     """Shared with the dedup exchanges — see dedup._executed_block_refs
     (avoids to_arrow_refs's ~0.7 s limit-1 schema re-execution)."""
@@ -332,106 +318,68 @@ def _executed_block_refs(ds: "rd.Dataset") -> list:
     return impl(ds)
 
 
-def phash_dup_losers(proj_ds: "rd.Dataset", mode: str = "auto",
-                     approx_rows: int | None = None) -> tuple:
-    """The dup-loser map — (sorted int64 phash keys, aligned winner
-    image_id Arrow strings) for every phash with count > 1 (the vector
-    form; see :func:`_winner_merge_local`).
+def phash_dup_losers(source, key_col: str = "phash",
+                     id_col: str = "image_id", mode: str = "auto") -> tuple:
+    """The dup-loser map — (sorted int64 keys, aligned winner id Arrow
+    strings) for every key with count > 1 (the vector form; see
+    :func:`_winner_merge_local`) — over a parquet ``source`` (a file, a
+    directory or a file list; a Lance dataset path in "partitioned"
+    mode). Only the (key_col, id_col) columns are read, so image bytes
+    never flow through this aggregation. Null keys are never dups.
 
-    proj_ds must contain exactly (phash, image_id) — the caller does a
-    column-pruned read so bytes never flow through this aggregation.
-
-    modes (the per-batch combiner runs in all — one row per phash per
-    batch, bounding a hot key's contribution to ≤ #blocks; any other
-    mode raises ``ValueError``):
-    - "auto": "driver" below DUP_SHUFFLE_THRESHOLD_ROWS (pass
-      approx_rows from parquet footers; unknown → driver), else
+    modes (any other raises ``ValueError``):
+    - "auto": "driver" up to DUP_SHUFFLE_THRESHOLD_ROWS footer rows,
+      else — and for inputs with no parquet file list (Lance) —
       "partitioned".
-    - "driver": stream the combined rows to the driver and merge,
-      vectorized on the int64 key. O(#distinct phash) driver memory —
-      the fast path while the key space fits one machine.
-    - "partitioned": two-stage hash-partitioned reduce over Ray tasks
-      (:func:`_dup_losers_partitioned`) — the 100 TB path; no driver
-      state beyond the final dup-only map, scales with CPUs.
-      (``Dataset.groupby(phash)`` benchmarked ~3× slower than this.)
+    - "driver": no Ray job. pyarrow reads the two columns in the calling
+      process and one ``group_by`` resolves the map: O(#rows) memory
+      for two columns, the fast path while they fit one machine
+      (measured on 1 CPU against the three Ray executions it replaced:
+      0.011 vs 0.24 s at 8,192 rows, 0.58 vs 1.35 s at 1 M rows).
+    - "partitioned": a packed Ray read + per-batch combiner feeding the
+      two-round hash-partitioned task reduce
+      (:func:`dup_losers_from_refs`) — the 100 TB path; no driver state
+      beyond the final dup-only map, scales with CPUs.
 
     For corpora where even the LOSER set outgrows a broadcast, use
     ``dup_groups_dataset`` + the join-based marking instead.
     """
+    from ..sources.readers import read_table, table_rows
+
     if mode not in DUP_LOSER_MODES:
         raise ValueError(f"unknown dup-loser mode {mode!r}; "
                          f"expected one of {DUP_LOSER_MODES}")
+    nrows, files = table_rows(source)
+    if files == []:
+        return _empty_lookup()
     if mode == "auto":
-        mode = ("partitioned" if approx_rows is not None
-                and approx_rows > DUP_SHUFFLE_THRESHOLD_ROWS else "driver")
-    combined = _dup_combined(proj_ds)
-    if mode == "partitioned":
-        return _dup_losers_partitioned(combined)
-    import pandas as pd
+        mode = ("driver" if files is not None
+                and nrows <= DUP_SHUFFLE_THRESHOLD_ROWS else "partitioned")
+    if mode == "driver":
+        if files is None:
+            raise ValueError("dup-loser mode 'driver' reads parquet files; "
+                             f"{source!r} has none")
+        import pyarrow.parquet as pq
 
-    # driver merge in two int-dominated phases — shipping the STRING
-    # winner column for every distinct key was the measured cost (the
-    # merge itself is a fast int64 groupby):
-    # (1) stream only (phash:int64, cnt:int64) combiner rows, count-sum
-    #     on the driver to find the few globally-duplicated keys;
-    # (2) filter the SAME combined stream's (phash, winner) rows to
-    #     those keys (broadcast sorted-key filter on workers) and
-    #     resolve min-winner over the tiny dup subset only.
-    # consumed twice (counts, then filtered winners): pin the combined
-    # rows — (phash, winner, cnt), one row per key per batch — in the
-    # object store so the scan+combine doesn't run twice
-    combined = combined.materialize()
-    counts_only = combined.select_columns(["phash", "cnt"])
-    ph_l, c_l = [], []
-    for b in counts_only.iter_batches(batch_size=262144,
-                                      batch_format="pyarrow"):
-        ph_l.append(b["phash"].to_numpy(zero_copy_only=False))
-        c_l.append(b["cnt"].to_numpy(zero_copy_only=False))
-    if not ph_l:
-        return _empty_lookup()
-    ph = np.concatenate(ph_l)
-    cnt = np.concatenate(c_l)
-    totals = pd.Series(cnt).groupby(pd.Series(ph), sort=False).sum()
-    dup_keys = totals.index.to_numpy()[totals.to_numpy() > 1]
-    if len(dup_keys) == 0:
-        return _empty_lookup()
-    dup_sorted = np.sort(dup_keys)
-    keys_ref = ray.put(dup_sorted)
-
-    def only_dups(t: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        kk = t["phash"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, kk), 0, len(keys) - 1)
-        return t.filter(pa.array(keys[idx] == kk))
-
-    dup_rows = combined.select_columns(["phash", "winner"]).map_batches(
-        only_dups, batch_format="pyarrow", batch_size=262144)
-    parts = list(dup_rows.iter_batches(batch_size=262144,
-                                       batch_format="pyarrow"))
-    if not parts:
-        return _empty_lookup()
-    return _winner_merge_local(pa.concat_tables(parts), "phash")
-
-
-def _dup_prepass(input_path: str, cfg, nrows, nfiles) -> tuple:
-    """The dup pre-pass: pruned (dedup_key, id_col) Dataset scan + the
-    auto-mode reduce → the loser map. The read is PACKED into ~2
-    tasks/CPU: inputs written with small bounded files (the fused-read
-    layout) would otherwise spawn one tiny per-file task whose
-    open/footer overhead dominates a two-column scan (measured 2.7 s
-    packed vs 8.5 s per-file at 449 files / 3.2 M rows), but never more
-    blocks than files (oversplitting adds a SplitBlocks op). (A
-    raw-pyarrow-task variant that skipped the Ray Data plan was
-    benchmarked at 25.6 M rows and saved nothing — the cost is the
-    two-column read itself, not the executor ramp.)"""
-    from ..sources.readers import read_table
-
+        t = pq.read_table(files, columns=[key_col, id_col])
+        g = t.group_by(key_col).aggregate(
+            [(id_col, "min"), (key_col, "count")])
+        g = g.filter(pc.greater(g[f"{key_col}_count"], 1))
+        return _winner_merge_local(g, key_col, f"{id_col}_min")
+    # The read is PACKED into ~2 tasks/CPU: inputs written with small
+    # bounded files (the fused-read layout) would otherwise spawn one
+    # tiny per-file task whose open/footer overhead dominates a
+    # two-column scan (measured 2.7 s packed vs 8.5 s per-file at 449
+    # files / 3.2 M rows), but never more blocks than files
+    # (oversplitting adds a SplitBlocks op).
     nb = max(2 * _ray_cpus(), 1)
-    if nfiles:
-        nb = min(nb, nfiles)
-    proj = read_table(input_path, columns=[cfg.dedup_key, cfg.id_col],
+    if files:
+        nb = min(nb, len(files))
+    proj = read_table(files or source, columns=[key_col, id_col],
                       override_num_blocks=nb)
-    return phash_dup_losers(proj, mode="auto", approx_rows=nrows)
+    combined = _dup_combined(proj, key_col, id_col)
+    return dup_losers_from_refs(_executed_block_refs(combined),
+                                key_col, id_col)
 
 
 def _mark_dup(batch: pa.Table, keys: np.ndarray,
@@ -683,14 +631,14 @@ def _single_read_pipeline(
     shards as the checkpoint artifact."""
     import tempfile
 
-    from ..sources.readers import read_parquet_fast
+    from ..sources.readers import parquet_files, read_parquet_fast
 
     if spill_dir is None:
         spill_dir = tempfile.mkdtemp(prefix="dq_single_labels_")
     _fused(ds, cfg, langid_model, ppl_model, decode).write_parquet(spill_dir)
-    nrows, nfiles = _parquet_rows(spill_dir)
-    dup_map = _dup_prepass(spill_dir, cfg, nrows, nfiles)
-    labels = read_parquet_fast(spill_dir, override_num_blocks=nfiles or None)
+    files = parquet_files(spill_dir)
+    dup_map = phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
+    labels = read_parquet_fast(files, override_num_blocks=len(files))
     return _mark_finalize(labels, dup_map, cfg, select_output)
 
 
@@ -704,8 +652,8 @@ def images_quality_pipeline(
     """End-to-end over a parquet images table.
 
     dedup_mode (any other value raises ``ValueError``):
-    - "staged" (default): the dup pre-pass runs FIRST at full cluster
-      width (it scans only (phash, image_id)); the main pass then gets
+    - "staged" (default): the dup pre-pass runs FIRST (it scans only
+      (phash, image_id); see :func:`phash_dup_losers`); the main pass then gets
       the resolved loser map and Ray fuses read → kernels →
       mark(+select) into ONE operator at full parallelism. A single-op
       plan sidesteps the streaming executor's per-operator resource
@@ -737,7 +685,10 @@ def images_quality_pipeline(
     fixture writes 8k-row files); ``target_max_block_size`` is capped
     so Ray size-splits a large file's output inside its read task,
     bounding per-task transient memory. Lance inputs (no file count)
-    keep Ray's default."""
+    keep Ray's default. Every read — main, pre-pass, single mode's
+    label re-read — takes the ``.parquet`` file list the footer probe
+    walked, so a stray non-parquet file in the input directory is
+    skipped, not read."""
     if dedup_mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
@@ -749,7 +700,7 @@ def images_quality_pipeline(
     ctx = rd.DataContext.get_current()
     ctx.target_max_block_size = min(
         ctx.target_max_block_size or (128 << 20), 32 << 20)
-    from ..sources.readers import read_table
+    from ..sources.readers import read_table, table_rows
 
     # The staged plan fuses to ONE operator, so the streaming
     # executor's per-op resource reservation buys nothing — yet it
@@ -765,18 +716,20 @@ def images_quality_pipeline(
     if staged:
         ctx.op_resource_reservation_enabled = False
     try:
-        nrows, nfiles = _parquet_rows(input_path)
+        # the probe also seeds the footer cache the reads plan from
+        _, files = table_rows(input_path)
+        src = files or input_path          # lance: no file list
         # one block per file: the per-file read task then fuses with the
-        # kernel chain (lance, nfiles None, keeps Ray's default)
-        ds = read_table(input_path, override_num_blocks=nfiles or None)
+        # kernel chain (lance keeps Ray's default)
+        ds = read_table(src, override_num_blocks=len(files) if files
+                        else None)
         if dedup_mode == "single":
             return _single_read_pipeline(ds, cfg, decode, **kw)
         if dedup_mode == "join":
-            proj = read_table(input_path,
-                              columns=[cfg.dedup_key, cfg.id_col])
+            proj = read_table(src, columns=[cfg.dedup_key, cfg.id_col])
             return quality_pipeline(ds, None, cfg, decode=decode,
                                     dup_ds=dup_groups_dataset(proj), **kw)
-        dup_map = _dup_prepass(input_path, cfg, nrows, nfiles)
+        dup_map = phash_dup_losers(src, cfg.dedup_key, cfg.id_col)
         return quality_pipeline(ds, dup_map, cfg, decode=decode, **kw)
     finally:
         if staged:

@@ -209,17 +209,21 @@ def read_table(path: str, columns: list[str] | None = None, **kw) -> "rd.Dataset
     return read_parquet_fast(path, columns=columns, **kw)
 
 
-def table_rows(path: str) -> tuple[int, int | None]:
-    """(total rows, file count or None) for a parquet dir/file or a
-    Lance dataset — metadata only (Lance counts from its manifest)."""
-    if is_lance_dataset(path):
+def table_rows(path) -> tuple[int, list[str] | None]:
+    """(total rows, parquet file list or None) for a parquet dir/file/
+    file list or a Lance dataset — metadata only (Lance counts from its
+    manifest and has no file list). The file list is the one the row
+    count came from: read it, not the directory, so the probe and the
+    reads see the same files."""
+    if not isinstance(path, (list, tuple)) and is_lance_dataset(path):
         try:
             import lance
 
             return lance.dataset(str(path)).count_rows(), None
         except ImportError:
             pass
-    return parquet_footer_rows(path)
+    files = parquet_files(path)
+    return parquet_footer_rows(files)[0], files
 
 
 class _LocalFooterMetadataProvider:
@@ -290,12 +294,32 @@ def _is_local_path(path) -> bool:
     return "://" not in p or p.startswith("file://") or p.startswith("local://")
 
 
-def parquet_footer_rows(path: str) -> tuple[int, int]:
-    """(total rows, file count) for a local parquet file/dir from footers
-    ONLY — and seed the ``read_parquet_fast`` footer cache with every
-    footer read, so the subsequent Dataset read's metadata prefetch is a
-    pure cache hit (the footer is otherwise read twice per pipeline:
-    once for the row probe, once at plan time).
+def parquet_files(path) -> list[str]:
+    """The sorted ``.parquet`` files of a file, a directory (walked
+    recursively) or a list of files. Names starting with ``.`` or ``_``
+    are skipped, as Ray's and pyarrow's directory readers skip them;
+    unlike those readers, non-parquet files (a stray ``notes.txt``) are
+    skipped too instead of failing the read."""
+    if isinstance(path, (list, tuple)):
+        return [str(p) for p in path]
+    if not os.path.isdir(path):
+        return [str(path)]
+    files: list[str] = []
+    for root, dirs, names in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        files.extend(os.path.join(root, f) for f in names
+                     if f.endswith(".parquet")
+                     and not f.startswith((".", "_")))
+    return sorted(files)
+
+
+def parquet_footer_rows(path) -> tuple[int, int]:
+    """(total rows, file count) for a local parquet file/dir/file list
+    (see :func:`parquet_files`) from footers ONLY — and seed the
+    ``read_parquet_fast`` footer cache with every footer read, so the
+    subsequent Dataset read's metadata prefetch is a pure cache hit (the
+    footer is otherwise read twice per pipeline: once for the row probe,
+    once at plan time).
 
     Footers are fetched with a small thread pool: pyarrow releases the
     GIL during file I/O, and a many-file table (the bounded-file-size
@@ -305,13 +329,7 @@ def parquet_footer_rows(path: str) -> tuple[int, int]:
 
     import pyarrow.parquet as pq
 
-    files: list[str] = []
-    if os.path.isdir(path):
-        for root, _, names in os.walk(path):
-            files.extend(os.path.join(root, f) for f in names
-                         if f.endswith(".parquet"))
-    else:
-        files.append(path)
+    files = parquet_files(path)
     if not files:
         return 0, 0
 

@@ -2,6 +2,8 @@
 drop_reason equality, scrubbed-caption equality, PSNR invariant,
 dedup winner semantics (north-rule acceptance tests)."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
@@ -127,8 +129,7 @@ def test_dup_loser_modes_identical(ray_session, images_path):
     from dataquality_cli_ray.pipelines.quality import phash_dup_losers
 
     def run(mode):
-        proj = rd.read_parquet(images_path, columns=["phash", "image_id"])
-        keys, winners = phash_dup_losers(proj, mode=mode)
+        keys, winners = phash_dup_losers(images_path, mode=mode)
         return dict(zip(keys.tolist(), winners.to_pylist()))
 
     ref = run("driver")
@@ -145,20 +146,74 @@ def test_dup_loser_modes_identical(ray_session, images_path):
     assert dict(zip(k2.tolist(), w2.to_pylist())) == ref
 
 
+def test_driver_dup_losers_start_no_ray_job(ray_session, images_path,
+                                            monkeypatch):
+    """mode='driver' resolves the map with pyarrow in the calling
+    process: with every Ray read path made to raise, it still returns
+    the partitioned mode's map."""
+    import ray.data as rd
+    from dataquality_cli_ray.pipelines.quality import phash_dup_losers
+    from dataquality_cli_ray.sources import readers
+
+    def as_dict(m):
+        return dict(zip(m[0].tolist(), m[1].to_pylist()))
+
+    ref = as_dict(phash_dup_losers(images_path, mode="partitioned"))
+
+    def no_ray(*a, **k):
+        raise AssertionError("driver mode started a Ray read")
+
+    monkeypatch.setattr(rd, "read_parquet", no_ray)
+    monkeypatch.setattr(readers, "read_table", no_ray)
+    assert as_dict(phash_dup_losers(images_path, mode="driver")) == ref
+
+
+def test_dup_losers_null_keys_never_dups(ray_session, tmp_path):
+    """Null keys form no dup group in either mode: only the real
+    duplicate key 5 maps to its min id."""
+    import pyarrow as pa
+    from dataquality_cli_ray.pipelines.quality import phash_dup_losers
+
+    path = str(tmp_path / "nulls.parquet")
+    pq.write_table(pa.table({
+        "phash": pa.array([None, None, 5, 5, 7], type=pa.int64()),
+        "image_id": ["a", "b", "c", "d", "e"]}), path)
+    for mode in ("driver", "partitioned"):
+        keys, winners = phash_dup_losers(path, mode=mode)
+        assert dict(zip(keys.tolist(), winners.to_pylist())) == {5: "c"}
+
+
+def test_stray_non_parquet_file_skipped(ray_session, images_path, models,
+                                        pipeline_and_golden, tmp_path):
+    """A non-parquet file next to the input's parquet files is skipped:
+    the row probe and every read see the same .parquet file list, and
+    the staged output equals the output without the stray file."""
+    import shutil
+
+    for name in os.listdir(images_path):
+        if name.endswith(".parquet"):
+            shutil.copy(os.path.join(images_path, name), tmp_path / name)
+    (tmp_path / "notes.txt").write_text("not a parquet file\n")
+    lm, pm = models
+    out = images_quality_pipeline(
+        str(tmp_path), QualityConfig(), langid_model=lm, ppl_model=pm,
+    ).to_pandas().sort_values("image_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(out,
+                                  pipeline_and_golden[list(out.columns)])
+
+
 def test_unknown_modes_rejected(ray_session, images_path):
     """A mode outside the supported set raises instead of silently
     running some other plan (modes are case-sensitive)."""
-    import ray.data as rd
     from dataquality_cli_ray.pipelines.quality import phash_dup_losers
 
     for mode in ("broadcast", "Staged", "shuffle"):
         with pytest.raises(ValueError, match="dedup_mode"):
             images_quality_pipeline(images_path, QualityConfig(),
                                     dedup_mode=mode)
-    proj = rd.read_parquet(images_path, columns=["phash", "image_id"])
     for mode in ("shuffle", "Driver"):
         with pytest.raises(ValueError, match="dup-loser mode"):
-            phash_dup_losers(proj, mode=mode)
+            phash_dup_losers(images_path, mode=mode)
 
 
 def test_pipeline_metrics_from_stats(ray_session, images_path, models):

@@ -11,6 +11,15 @@ Usage:
 The CLI owns the Ray session (guarded init per the driver contract);
 library code never calls ray.init.
 
+``quality`` reads the flagship's input files (``.parquet`` only, ``.``/
+``_`` names skipped), resolves the dup map over all of them, then runs
+the flagship's fused plan ONCE over every file of every unpublished
+shard: each file's task reads, labels and writes its part under
+``shard=<i>.tmp/``, and this process publishes each shard (manifest +
+atomic rename) as soon as all its files have reported
+(``state.checkpoint.run_resumable``). ``--shard-size`` sets the resume
+unit, not the execution.
+
 Report layout mirrors the reference renderer: summary →
 per-file/table section → detailed per-column stats
 (``cmd/describe.go:306-473``); the per-file quality rating uses the
@@ -135,15 +144,13 @@ def cmd_describe(args) -> int:
 def cmd_quality(args) -> int:
     _ray_session(args.num_cpus)
 
-    from .pipelines.quality import build_models, quality_pipeline, phash_dup_losers
-    from .sources.readers import read_parquet_fast
-    from .state.checkpoint import drop_reason_lineage, run_resumable
+    from .pipelines import quality as Q
+    from .sources.readers import parquet_files, read_parquet_fast
+    from .state import checkpoint as CK
     from .stages.rules import QualityConfig
 
-    files = sorted(
-        os.path.join(args.input, f) for f in os.listdir(args.input)
-        if f.endswith(".parquet")
-    )
+    # the files the flagship reads: .parquet only, '.'/'_' names skipped
+    files = parquet_files(args.input)
     if not files:
         print("no parquet inputs found", file=sys.stderr)
         return 2
@@ -151,23 +158,24 @@ def cmd_quality(args) -> int:
                         min_image_px=args.min_image_px,
                         max_aspect=args.max_aspect,
                         min_contrast=args.min_contrast)
-    langid_model, ppl_model = build_models()
+    langid_model, ppl_model = Q.build_models()
     # dedup decision over ALL inputs (cross-shard correctness), pruned
     # scan; auto-switches in-process merge -> partitioned task reduce on
     # size
-    dup_map = phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
+    dup_map = Q.phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
 
-    def pipeline(shard_files):
+    def pipeline(pending):
         # one block per file, so each read task fuses with the kernels
-        ds = read_parquet_fast(shard_files,
-                               override_num_blocks=len(shard_files))
-        return quality_pipeline(ds, dup_map, cfg,
-                                langid_model=langid_model,
-                                ppl_model=ppl_model)
+        # and the shard write; `path` routes each row to its shard
+        ds = read_parquet_fast(pending, override_num_blocks=len(pending),
+                               include_paths=True)
+        return Q.quality_pipeline(ds, dup_map, cfg,
+                                  langid_model=langid_model,
+                                  ppl_model=ppl_model)
 
-    res = run_resumable(files, args.output, pipeline,
-                        shard_size=args.shard_size,
-                        lineage_fn=drop_reason_lineage)
+    res = CK.run_resumable(files, args.output, pipeline,
+                           shard_size=args.shard_size,
+                           lineage_fn=CK.drop_reason_lineage)
     print(res)
     return 0
 
@@ -196,7 +204,8 @@ def cmd_lineage(args) -> int:
         print(f"  {k:<16}{v:>12}  {v / total * 100:6.2f}%")
     if args.per_shard:
         for m in rep["shards"]:
-            print(f"  shard={m['shard']}: rows_out={m['rows_out']} "
+            print(f"  shard={m['shard']}: rows_in={m.get('rows_in', '-')} "
+                  f"rows_out={m['rows_out']} "
                   f"fragments={len(m.get('input_fragments', []))}")
     return 0
 

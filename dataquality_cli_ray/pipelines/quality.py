@@ -508,18 +508,24 @@ def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref,
                            select_cols=None) -> pa.Table:
     if dup_ref is None:
         out = finalize_decision(batch)
-        return out.select(select_cols) if select_cols else out
-    key = dup_ref.hex()
-    lookup = _DUP_CACHE.get(key)
-    if lookup is None:
-        lookup = ray.get(dup_ref)
-        _DUP_CACHE.clear()
-        _DUP_CACHE[key] = lookup
-    out = finalize_decision(_mark_dup(batch, *lookup))
+    else:
+        key = dup_ref.hex()
+        lookup = _DUP_CACHE.get(key)
+        if lookup is None:
+            lookup = ray.get(dup_ref)
+            _DUP_CACHE.clear()
+            _DUP_CACHE[key] = lookup
+        out = finalize_decision(_mark_dup(batch, *lookup))
     # column selection folded in: a trailing select_columns would be
     # another operator, and every operator dilutes the fused op's share
-    # under the executor's per-op resource reservation
-    return out.select(select_cols) if select_cols else out
+    # under the executor's per-op resource reservation. A read with
+    # include_paths=True keeps its ``path`` column (the CLI's in-task
+    # shard write routes rows by it).
+    if not select_cols:
+        return out
+    if "path" in out.column_names:
+        select_cols = select_cols + ["path"]
+    return out.select(select_cols)
 
 
 def _mark_finalize_join(out: "rd.Dataset", dup_ds: "rd.Dataset",

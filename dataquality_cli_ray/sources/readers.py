@@ -315,11 +315,18 @@ def parquet_files(path) -> list[str]:
 
 def parquet_footer_rows(path) -> tuple[int, int]:
     """(total rows, file count) for a local parquet file/dir/file list
-    (see :func:`parquet_files`) from footers ONLY — and seed the
-    ``read_parquet_fast`` footer cache with every footer read, so the
+    (see :func:`parquet_files`) from footers ONLY (see
+    :func:`parquet_file_rows`)."""
+    files = parquet_files(path)
+    return sum(parquet_file_rows(files)), len(files)
+
+
+def parquet_file_rows(files: list[str]) -> list[int]:
+    """Per-file footer row counts of local parquet ``files`` — and seed
+    the ``read_parquet_fast`` footer cache with every footer read, so the
     subsequent Dataset read's metadata prefetch is a pure cache hit (the
     footer is otherwise read twice per pipeline: once for the row probe,
-    once at plan time).
+    once at plan time). Files already in the cache are not re-read.
 
     Footers are fetched with a small thread pool: pyarrow releases the
     GIL during file I/O, and a many-file table (the bounded-file-size
@@ -328,10 +335,6 @@ def parquet_footer_rows(path) -> tuple[int, int]:
     from concurrent.futures import ThreadPoolExecutor
 
     import pyarrow.parquet as pq
-
-    files = parquet_files(path)
-    if not files:
-        return 0, 0
 
     cache = _LocalFooterMetadataProvider._cache
     meta_cls_holder = {}
@@ -358,11 +361,9 @@ def parquet_footer_rows(path) -> tuple[int, int]:
         return md.num_rows
 
     if len(files) <= 4:
-        rows = [one(f) for f in files]
-    else:
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            rows = list(ex.map(one, files))
-    return sum(rows), len(files)
+        return [one(f) for f in files]
+    with ThreadPoolExecutor(max_workers=8) as ex:
+        return list(ex.map(one, files))
 
 
 def read_parquet_fast(path, columns: list[str] | None = None,

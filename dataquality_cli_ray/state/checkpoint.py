@@ -3,12 +3,16 @@ from per-partition checkpoints", "every partition writes lineage
 records").
 
 Model: the input file list is split into SHARDS (deterministic order —
-the unit of resume). Each shard runs the pipeline independently and
-writes to ``out_root/shard=<i>/`` ATOMICALLY: outputs land in a temp
-dir, a ``manifest.json`` (input fragments, rows in/out, per-rule hit
-counters, schema fingerprint) is written last, then the dir is renamed
-into place. A rerun skips every shard whose manifest exists — "resume
-= anti-filter of done fragments" (SURVEY.md §4).
+the unit of resume), but a run is ONE Ray Data execution over every
+pending input file. The plan's last step runs inside each file's task:
+it writes the task's rows as a part file under ``out_root/shard=<i>.tmp/``
+and returns one small ``(path, part, rows)`` row. The caller streams
+those rows; once every file of shard *i* has reported its footer row
+count, the shard is published: unreported parts (a retried task's
+orphan) are deleted, ``manifest.json`` (input fragments, rows in/out,
+per-rule hit counters) is written, then the dir is renamed into place.
+A rerun skips every shard whose manifest lists the same input
+fragments — "resume = anti-filter of done fragments" (SURVEY.md §4).
 
 The reference has NO checkpointing (full rerun, SURVEY §4); this is the
 explicit-design extension the north rule requires.
@@ -20,10 +24,11 @@ import json
 import os
 import re
 import shutil
+import uuid
 
 import pyarrow as pa
-
-import ray.data as rd
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def shard_files(files: list[str], shard_size: int) -> list[list[str]]:
@@ -66,6 +71,39 @@ def _manifest_matches(out_root: str, idx: int, shard_files_: list[str]) -> bool:
         return False
 
 
+def _write_parts(batch: pa.Table, *, tmp_dirs: dict) -> pa.Table:
+    """The plan's last step, run inside each input file's task: write the
+    block's rows (minus ``path``) as one part per input file under that
+    file's ``shard=<i>.tmp`` dir, and return one ``(path, part, rows)``
+    row per part. A part is written under a dot-prefixed name, then
+    renamed, so a killed task leaves no readable half-file; every
+    attempt picks a fresh name, so a retried task cannot overwrite —
+    or be mistaken for — a reported part."""
+    parts, rows = [], []
+    uniq = pc.unique(batch["path"]).to_pylist()
+    for path in uniq:
+        t = batch if len(uniq) == 1 else batch.filter(
+            pc.equal(batch["path"], path))
+        stem = os.path.splitext(os.path.basename(path))[0]
+        name = f"{stem}-{uuid.uuid4().hex}.parquet"
+        hidden = os.path.join(tmp_dirs[path], "." + name)
+        pq.write_table(t.drop_columns(["path"]), hidden)
+        os.replace(hidden, os.path.join(tmp_dirs[path], name))
+        parts.append(name)
+        rows.append(t.num_rows)
+    return pa.table({"path": pa.array(uniq, pa.string()),
+                     "part": pa.array(parts, pa.string()),
+                     "rows": pa.array(rows, pa.int64())})
+
+
+def _with_write_step(ds, tmp_dirs: dict):
+    """``ds`` with :func:`_write_parts` appended as a whole-block step,
+    so it fuses into the same per-file task as the steps before it."""
+    return ds.map_batches(_write_parts, fn_kwargs={"tmp_dirs": tmp_dirs},
+                          batch_format="pyarrow", batch_size=None,
+                          zero_copy_batch=True)
+
+
 def run_resumable(
     files: list[str],
     out_root: str,
@@ -73,54 +111,97 @@ def run_resumable(
     shard_size: int = 16,
     lineage_fn=None,
 ) -> dict:
-    """Run ``pipeline_fn(list_of_files) -> Dataset`` per shard with
-    atomic writes + manifests; skips completed shards.
+    """Run ``pipeline_fn(pending_files) -> Dataset`` ONCE over the files
+    of every shard not yet published, writing each shard atomically
+    with a manifest; skips published shards whose manifest lists the
+    same input fragments.
+
+    The Dataset's rows must carry a ``path`` column naming their input
+    parquet file (a read with ``include_paths=True``); it routes each
+    row to its file's shard and is not written. A shard publishes as
+    soon as its files have reported as many rows as their footers hold
+    (a pipeline that labels every row, like the quality pipeline) —
+    more raises ``ValueError`` — and any shard still open when the
+    execution ends publishes then.
 
     Returns {"shards_total", "shards_skipped", "shards_run", "manifests"}.
-    ``lineage_fn(out_ds) -> dict`` may add counters to each manifest
-    (e.g. drop_reason counts from ``quality.lineage_summary``).
+    ``lineage_fn(shard_dir) -> dict`` may add counters to each manifest
+    (e.g. :func:`drop_reason_lineage`).
     """
+    from ..sources.readers import parquet_file_rows
+
     os.makedirs(out_root, exist_ok=True)
     shards = shard_files(files, shard_size)
     done = completed_shards(out_root)
-    ran, manifests = 0, []
+    manifests: dict[int, str] = {}
+    pending: dict[int, list[str]] = {}
     for idx, shard in enumerate(shards):
-        final_dir = os.path.join(out_root, f"shard={idx}")
         if idx in done and _manifest_matches(out_root, idx, shard):
-            manifests.append(_manifest_path(out_root, idx))
+            manifests[idx] = _manifest_path(out_root, idx)
             continue
-        tmp_dir = final_dir + ".tmp"
-        if os.path.exists(tmp_dir):
-            shutil.rmtree(tmp_dir)           # half-written: restart shard
-        if os.path.exists(final_dir):
-            shutil.rmtree(final_dir)         # dir without manifest: redo
-        os.makedirs(tmp_dir)
-        out_ds = pipeline_fn(shard)
-        out_ds.write_parquet(tmp_dir)
-        rows_out = _count_rows_parquet(tmp_dir)
-        manifest = {
-            "shard": idx,
-            "input_fragments": shard,
-            "rows_out": rows_out,
-        }
-        if lineage_fn is not None:
-            manifest["lineage"] = lineage_fn(tmp_dir)
-        with open(os.path.join(tmp_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=1)
-        os.replace(tmp_dir, final_dir)       # atomic publish
-        manifests.append(_manifest_path(out_root, idx))
-        ran += 1
+        final_dir = os.path.join(out_root, f"shard={idx}")
+        for d in (final_dir + ".tmp", final_dir):
+            if os.path.exists(d):
+                shutil.rmtree(d)     # half-written / manifest-less: redo
+        os.makedirs(final_dir + ".tmp")
+        pending[idx] = shard
+    if pending:
+        todo = [f for shard in pending.values() for f in shard]
+        shard_of = {f: idx for idx, shard in pending.items() for f in shard}
+        footer = dict(zip(todo, parquet_file_rows(todo)))
+        seen = dict.fromkeys(todo, 0)
+        parts: dict[int, set[str]] = {idx: set() for idx in pending}
+
+        def publish(idx):
+            # drop the parts no task reported (a retried task's orphan),
+            # write the manifest, rename shard=<i>.tmp into place
+            shard = pending[idx]
+            final_dir = os.path.join(out_root, f"shard={idx}")
+            tmp_dir = final_dir + ".tmp"
+            for name in os.listdir(tmp_dir):
+                if name not in parts[idx]:
+                    os.remove(os.path.join(tmp_dir, name))
+            manifest = {
+                "shard": idx,
+                "input_fragments": shard,
+                "rows_in": sum(footer[f] for f in shard),
+                "rows_out": sum(seen[f] for f in shard),
+            }
+            if lineage_fn is not None:
+                manifest["lineage"] = lineage_fn(tmp_dir)
+            with open(os.path.join(tmp_dir, "manifest.json"), "w") as f:
+                json.dump(manifest, f, indent=1)
+            os.replace(tmp_dir, final_dir)       # atomic publish
+            manifests[idx] = _manifest_path(out_root, idx)
+
+        tmp_dirs = {f: os.path.join(out_root, f"shard={shard_of[f]}.tmp")
+                    for f in todo}
+        written = _with_write_step(pipeline_fn(todo), tmp_dirs)
+        for batch in written.iter_batches(batch_format="pyarrow",
+                                          batch_size=None):
+            for path, part, n in zip(*(batch[c].to_pylist()
+                                       for c in ("path", "part", "rows"))):
+                idx = shard_of[path]
+                seen[path] += n
+                if seen[path] > footer[path]:
+                    raise ValueError(
+                        f"{path}: {seen[path]} rows written, its footer "
+                        f"holds {footer[path]}")
+                parts[idx].add(part)
+                if all(seen[f] == footer[f] for f in pending[idx]):
+                    publish(idx)
+        for idx in pending:
+            if idx not in manifests:
+                publish(idx)
     return {
         "shards_total": len(shards),
-        "shards_skipped": len(shards) - ran,
-        "shards_run": ran,
-        "manifests": manifests,
+        "shards_skipped": len(shards) - len(pending),
+        "shards_run": len(pending),
+        "manifests": [manifests[idx] for idx in sorted(manifests)],
     }
 
 
 def _count_rows_parquet(d: str) -> int:
-    import pyarrow.parquet as pq
-
     total = 0
     for root, _, files in os.walk(d):
         for f in files:
@@ -175,8 +256,6 @@ def lineage_report(out_root: str) -> dict:
 def drop_reason_lineage(out_dir: str) -> dict:
     """Default lineage_fn: per-rule counters from the shard's own output
     (column-pruned read of drop_reason only)."""
-    import pyarrow.parquet as pq
-
     counts: dict[str, int] = {}
     for root, _, files in os.walk(out_dir):
         for f in files:

@@ -42,7 +42,7 @@ def input_files(tmp_path):
 
 def _identity_pipeline(files):
     import ray.data as rd
-    return rd.read_parquet(files)
+    return rd.read_parquet(files, include_paths=True)
 
 
 def test_run_resumable_and_skip(ray_session, input_files, tmp_path):
@@ -54,6 +54,7 @@ def test_run_resumable_and_skip(ray_session, input_files, tmp_path):
     # manifests carry fragments + counters
     m = json.load(open(r1["manifests"][0]))
     assert m["rows_out"] == 20 and len(m["input_fragments"]) == 2
+    assert m["rows_in"] == 20
     assert m["lineage"]["KEEP"] == 16 and m["lineage"]["null_blank"] == 2
     # rerun: everything skipped
     r2 = run_resumable(input_files, out_root, _identity_pipeline,
@@ -254,7 +255,6 @@ def test_resume_invalidates_shifted_boundaries(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    import ray.data as rd
     from dataquality_cli_ray.state.checkpoint import run_resumable
 
     files = []
@@ -263,16 +263,127 @@ def test_resume_invalidates_shifted_boundaries(ray_session, tmp_path):
         pq.write_table(pa.table({"x": [i * 10 + j for j in range(5)]}), p)
         files.append(p)
     out = str(tmp_path / "out")
-    r1 = run_resumable(files[1:], out, lambda fs: rd.read_parquet(fs),
+    r1 = run_resumable(files[1:], out, _identity_pipeline,
                        shard_size=1)
     assert r1["shards_run"] == 2
     # prepend a file that sorts first -> every boundary shifts
-    r2 = run_resumable(files, out, lambda fs: rd.read_parquet(fs),
+    r2 = run_resumable(files, out, _identity_pipeline,
                        shard_size=1)
     assert r2["shards_total"] == 3 and r2["shards_run"] == 3
-    r3 = run_resumable(files, out, lambda fs: rd.read_parquet(fs),
+    r3 = run_resumable(files, out, _identity_pipeline,
                        shard_size=1)
     assert r3["shards_skipped"] == 3
+
+
+def _published(out_root):
+    """(every published row sorted by x, {shard dir: manifest}) of a run;
+    asserts each shard dir holds only its manifest and parquet parts."""
+    tables, manifests = [], {}
+    for name in sorted(os.listdir(out_root)):
+        d = os.path.join(out_root, name)
+        names = sorted(os.listdir(d))
+        assert all(n == "manifest.json" or (n.endswith(".parquet")
+                                            and not n.startswith("."))
+                   for n in names), names
+        with open(os.path.join(d, "manifest.json")) as f:
+            manifests[name] = json.load(f)
+        tables += [pq.read_table(os.path.join(d, n)) for n in names
+                   if n.endswith(".parquet")]
+    return pa.concat_tables(tables).sort_by("x"), manifests
+
+
+def _run(files, out_root):
+    return run_resumable(files, out_root, _identity_pipeline, shard_size=2,
+                         lineage_fn=drop_reason_lineage)
+
+
+def test_resume_after_worker_killed_after_part_write(ray_session, input_files,
+                                                     tmp_path, monkeypatch):
+    """A worker dies right after writing its part: Ray retries the task,
+    the retry writes a fresh part, and publishing deletes the part no
+    task reported — no duplicate rows, no orphan part."""
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    _run(input_files, str(tmp_path / "clean"))
+    clean = _published(str(tmp_path / "clean"))
+    marker = str(tmp_path / "killed")
+    real = CK._write_parts
+
+    def write_then_die(batch, *, tmp_dirs):
+        out = real(batch, tmp_dirs=tmp_dirs)
+        if (batch["path"][0].as_py().endswith("in_3.parquet")
+                and not os.path.exists(marker)):
+            open(marker, "w").close()
+            os._exit(1)
+        return out
+
+    monkeypatch.setattr(CK, "_write_parts", write_then_die)
+    out_root = str(tmp_path / "out")
+    assert _run(input_files, out_root)["shards_run"] == 3
+    assert os.path.exists(marker)
+    # an orphan part would show as duplicate rows
+    got, manifests = _published(out_root)
+    assert got.equals(clean[0]) and manifests == clean[1]
+
+
+def test_resume_after_truncated_manifest(ray_session, input_files, tmp_path):
+    """A truncated manifest.json makes only that shard re-run."""
+    out_root = str(tmp_path / "out")
+    _run(input_files, out_root)
+    clean = _published(out_root)
+    path = os.path.join(out_root, "shard=1", "manifest.json")
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text[: len(text) // 2])
+    r = _run(input_files, out_root)
+    assert r["shards_run"] == 1 and r["shards_skipped"] == 2
+    got, manifests = _published(out_root)
+    assert got.equals(clean[0]) and manifests == clean[1]
+
+
+def test_resume_after_input_removed(ray_session, input_files, tmp_path):
+    """An input file removed between runs shifts the later shards'
+    boundaries: those re-run, the untouched shard is skipped, and the
+    output equals a clean run over the remaining files."""
+    out_root = str(tmp_path / "out")
+    _run(input_files, out_root)
+    os.remove(input_files[2])
+    files = input_files[:2] + input_files[3:]
+    r = _run(files, out_root)
+    assert r["shards_skipped"] == 1 and r["shards_run"] == 2
+    _run(files, str(tmp_path / "clean"))
+    got, manifests = _published(out_root)
+    clean = _published(str(tmp_path / "clean"))
+    assert got.equals(clean[0]) and manifests == clean[1]
+
+
+def test_block_spanning_shards_split_by_path(ray_session, input_files,
+                                             tmp_path):
+    """A pipeline whose blocks mix input files (here one block for all
+    six) still routes every row to its own file's shard."""
+    def one_block(files):
+        return _identity_pipeline(files).repartition(1)
+
+    out_root = str(tmp_path / "out")
+    run_resumable(input_files, out_root, one_block, shard_size=2,
+                  lineage_fn=drop_reason_lineage)
+    _run(input_files, str(tmp_path / "clean"))
+    got, manifests = _published(out_root)
+    clean = _published(str(tmp_path / "clean"))
+    assert got.equals(clean[0]) and manifests == clean[1]
+
+
+def test_more_rows_than_footer_rejected(ray_session, input_files, tmp_path):
+    """A file reporting more written rows than its footer holds fails
+    the run instead of publishing a shard with duplicates."""
+    def doubled(files):
+        return _identity_pipeline(files).map_batches(
+            lambda t: pa.concat_tables([t, t]), batch_format="pyarrow")
+
+    with pytest.raises(ValueError, match="footer holds"):
+        run_resumable(input_files, str(tmp_path / "out"), doubled,
+                      shard_size=2)
 
 
 def test_read_parquet_small_blocks(ray_session, tmp_path):

@@ -2,10 +2,14 @@
 drop_reason equality, scrubbed-caption equality, PSNR invariant,
 dedup winner semantics (north-rule acceptance tests)."""
 
+import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -279,32 +283,84 @@ def test_staged_plan_is_one_fused_operator(ray_session, models,
     assert _executed_ops(ds) == [FUSED_OP]
 
 
+def _cmd_quality(input_dir: str, out_dir: str, shard_size: int) -> None:
+    from argparse import Namespace
+
+    from dataquality_cli_ray import cli
+
+    assert cli.cmd_quality(Namespace(
+        input=input_dir, output=out_dir, shard_size=shard_size, num_cpus=4,
+        dedup_mode="auto", align_threshold=None, min_image_px=None,
+        max_aspect=None, min_contrast=None)) == 0
+
+
 def test_cli_shard_plan_is_one_fused_operator(ray_session,
                                               multi_file_images,
-                                              tmp_path, monkeypatch):
-    """cmd_quality's per-shard plan (here one 4-file shard) is the same
-    single fused operator."""
+                                              tmp_path, monkeypatch, capsys):
+    """A cmd_quality run over 4 files in 2 shards builds ONE plan over
+    all 4 files, and it executes as one fused operator that ends in the
+    in-task shard write; ``lineage --per-shard`` prints rows in/out."""
     from argparse import Namespace
 
     from dataquality_cli_ray import cli
     from dataquality_cli_ray.state import checkpoint as CK
 
-    plans = []
-    real = CK.run_resumable
+    plans, written = [], []
+    real_run = CK.run_resumable
+    real_write = getattr(CK, "_with_write_step", None)
 
     def spy(files, out_dir, pipeline_fn, **kw):
-        def fn(shard):
-            plans.append(pipeline_fn(shard))
-            return plans[-1]
-        return real(files, out_dir, fn, **kw)
+        def fn(pending):
+            plans.append(list(pending))
+            return pipeline_fn(pending)
+        return real_run(files, out_dir, fn, **kw)
+
+    def write_spy(ds, tmp_dirs):
+        written.append(real_write(ds, tmp_dirs))
+        return written[-1]
 
     monkeypatch.setattr(CK, "run_resumable", spy)
-    assert cli.cmd_quality(Namespace(
-        input=multi_file_images, output=str(tmp_path / "out"),
-        shard_size=4, num_cpus=4, dedup_mode="auto", align_threshold=None,
-        min_image_px=None, max_aspect=None, min_contrast=None)) == 0
-    assert len(plans) == 1
-    ds = plans[0]
-    n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
+    monkeypatch.setattr(CK, "_with_write_step", write_spy, raising=False)
+    out = tmp_path / "out"
+    _cmd_quality(multi_file_images, str(out), shard_size=2)
+    files = sorted(str(p) for p in pathlib.Path(multi_file_images).iterdir())
+    assert plans == [files]
+    assert len(written) == 1
+    assert _executed_ops(written[0]) == [FUSED_OP + "->MapBatches(_write_parts)"]
+    assert sorted(os.listdir(out)) == ["shard=0", "shard=1"]
+    n = sum(pq.read_metadata(str(p)).num_rows for p in out.glob("*/*.parquet"))
     assert n == 600
-    assert _executed_ops(ds) == [FUSED_OP]
+    assert cli.cmd_lineage(Namespace(run_dir=str(out), json=False,
+                                     per_shard=True)) == 0
+    assert "shard=1: rows_in=300 rows_out=300" in capsys.readouterr().out
+
+
+def _cli_output(out_dir: str):
+    """(published rows sorted by image_id, per-shard manifests with the
+    input fragments reduced to file names)."""
+    parts, manifests = [], []
+    for shard in sorted(os.listdir(out_dir)):
+        d = os.path.join(out_dir, shard)
+        parts += [pq.read_table(os.path.join(d, f))
+                  for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+        with open(os.path.join(d, "manifest.json")) as f:
+            m = json.load(f)
+        m["input_fragments"] = [os.path.basename(p)
+                                for p in m["input_fragments"]]
+        manifests.append(m)
+    return pa.concat_tables(parts).sort_by("image_id"), manifests
+
+
+def test_cli_skips_underscore_parquet(ray_session, multi_file_images,
+                                      tmp_path):
+    """cmd_quality reads the files the flagship reads: a corrupt
+    ``_stray.parquet`` in the input dir is skipped, and the output
+    equals the output without it."""
+    src = tmp_path / "in"
+    shutil.copytree(multi_file_images, src)
+    (src / "_stray.parquet").write_bytes(b"not a parquet file")
+    _cmd_quality(str(src), str(tmp_path / "out"), shard_size=2)
+    _cmd_quality(multi_file_images, str(tmp_path / "ref"), shard_size=2)
+    got, manifests = _cli_output(str(tmp_path / "out"))
+    ref, ref_manifests = _cli_output(str(tmp_path / "ref"))
+    assert got.equals(ref) and manifests == ref_manifests

@@ -12,10 +12,17 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline smoke: quality-filter + scrub + dedup over the
-    sf0.001 documents table (text mode of the image+caption pipeline)."""
+    sf0.001 documents table (text mode of the image+caption pipeline;
+    the dedup key is a 64-bit hash of the text)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from dataquality_cli_ray.pipelines.quality import quality_pipeline
+    from dataquality_cli_ray.functions.hashing import stable_hash64_array
+    from dataquality_cli_ray.pipelines.quality import (
+        dup_losers_from_table,
+        quality_pipeline,
+    )
     from dataquality_cli_ray.pipelines.textqa import train_langid_on_dataset
     from dataquality_cli_ray.stages.perplexity import train_char_lm
     from dataquality_cli_ray.stages.rules import QualityConfig
@@ -28,10 +35,13 @@ def entry() -> Any:
     langid_model = train_langid_on_dataset(full, "text", "lang")
     sample = [r["text"] for r in full.take(200)]
     ppl_model = train_char_lm(sample)
-    ds = full.select_columns(["doc_id", "text"])
-    out = quality_pipeline(ds, dup_map=None, cfg=cfg,
-                           langid_model=langid_model, ppl_model=ppl_model,
-                           decode=False, select_output=False)
+    docs = pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text"])
+    docs = docs.append_column(
+        "text_hash", pa.array(stable_hash64_array(docs["text"])))
+    out = quality_pipeline(rd.from_arrow(docs),
+                           dup_losers_from_table(docs, "text_hash", "doc_id"),
+                           cfg, langid_model, ppl_model)
     return out.select_columns(
         ["doc_id", "keep", "drop_reason", "caption_scrubbed",
          "lang_pred", "lang_score", "ppl", "pii_hits"]

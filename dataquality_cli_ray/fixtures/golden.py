@@ -36,10 +36,12 @@ def golden_labels(rows: list[dict], cfg: QualityConfig,
     phash. Returns per-row dicts: keep, drop_reason, caption_scrubbed,
     lang_pred, ppl."""
     # dedup decision first (independent of other rules, same as pipeline):
-    # winner = min image_id per phash; loser iff group size > 1 and not winner
+    # winner = min image_id per phash; loser iff group size > 1 and not
+    # winner; null phashes are never dups
     groups: dict[int, list[str]] = {}
     for r in rows:
-        groups.setdefault(r["phash"], []).append(r["image_id"])
+        if r["phash"] is not None:
+            groups.setdefault(r["phash"], []).append(r["image_id"])
     losers = set()
     for ph, ids in groups.items():
         if len(ids) > 1:

@@ -1439,8 +1439,8 @@ def dsir_select(
     keys + per-key log-term vector, numpy); scan 2 scores each block
     vectorized (index_in / searchsorted + bincount-weights) into a
     compact (id, score) dataset that is materialized (16 B/row — spill
-    it to parquet shards via the ``quality._single_read_pipeline``
-    pattern if even that outgrows the object store). The selection
+    it to parquet shards with ``write_parquet`` if even that outgrows
+    the object store). The selection
     cutoff is exact from per-block (rounded-score, count) histogram
     partials; the mark pass streams over the pinned score blocks.
     """

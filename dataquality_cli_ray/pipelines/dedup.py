@@ -299,6 +299,15 @@ def _bucket_pair_exchange(exploded: "rd.Dataset", key_col: str,
     return rd.from_arrow_refs(deduped)
 
 
+# Partition size the join aggregators reserve memory for. Without a
+# hint Ray assumes target_max_block_size (128 MiB by default), so each
+# 4-partition join reserves 3.5 GiB of the node's ``memory`` resource;
+# the join verify plan (marker groupby + three joins) then asks for
+# 11.5 GiB of a 15 GiB host's 10.7 and never schedules. The rows these
+# joins carry are ids, hit markers and shingle-hash blobs.
+JOIN_PARTITION_SIZE_HINT = 32 << 20
+
+
 def semi_join_filter(
     ds: "rd.Dataset", keys_ds: "rd.Dataset", key_col: str,
     num_partitions: int | None = None, anti: bool = False,
@@ -306,10 +315,9 @@ def semi_join_filter(
     """Distributed semi-join (anti=True: anti-join) membership filter:
     keep rows of ``ds`` whose ``key_col`` appears (resp. does not
     appear) in ``keys_ds`` — a hash-partitioned ``Dataset.join``, with
-    NO driver-side key set. This is the 100 TB fallback for broadcast
-    membership filters (e.g. the phash loser set) once the key set
-    outgrows a single ``ray.put``; both sides shuffle only their key
-    (+carried) columns."""
+    NO driver-side key set. This is the fallback for broadcast
+    membership filters once the key set outgrows a single ``ray.put``;
+    both sides shuffle only their key (+carried) columns."""
     from ray.data.aggregate import Count
 
     if num_partitions is None:
@@ -327,7 +335,8 @@ def semi_join_filter(
     # field on right side"); a repartition coalesces them away
     marker = marker.repartition(num_partitions)
     joined = ds.join(marker, join_type="left_outer",
-                     num_partitions=num_partitions, on=(key_col,))
+                     num_partitions=num_partitions, on=(key_col,),
+                     partition_size_hint=JOIN_PARTITION_SIZE_HINT)
 
     def keep(t: pa.Table) -> pa.Table:
         hit = pa.compute.is_valid(t["__hit"])
@@ -742,7 +751,8 @@ def _verify_pairs_join(
                                      batch_size=4096)
     # two hash-partitioned joins carry each side's shingle set to the pair
     j = pairs.join(shingles, join_type="inner", num_partitions=P,
-                   on=("id_a",), right_on=(id_col,), right_suffix="_a")
+                   on=("id_a",), right_on=(id_col,), right_suffix="_a",
+                   partition_size_hint=JOIN_PARTITION_SIZE_HINT)
     sh_a = "sh" if "sh" in j.schema().names else "sh_a"
     j = j.rename_columns({sh_a: "sh_a"}) if sh_a == "sh" else j
     # the right key column (id_col) may survive the join — drop it so it
@@ -750,7 +760,8 @@ def _verify_pairs_join(
     if id_col in j.schema().names and id_col not in pairs.schema().names:
         j = j.drop_columns([id_col])
     j = j.join(shingles, join_type="inner", num_partitions=P,
-               on=("id_b",), right_on=(id_col,), right_suffix="_b")
+               on=("id_b",), right_on=(id_col,), right_suffix="_b",
+               partition_size_hint=JOIN_PARTITION_SIZE_HINT)
     sh_b = "sh" if "sh" in j.schema().names else "sh_b"
     j = j.rename_columns({sh_b: "sh_b"}) if sh_b == "sh" else j
 

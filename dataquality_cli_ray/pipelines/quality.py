@@ -1,17 +1,15 @@
 """Flagship pipeline: language-ID + quality-filter + PII/toxicity-scrub
 over image+caption tables (BASELINE.json north rule).
 
-Stage graph (all lazy, streaming, backpressured; in the default staged
-mode Ray fuses it into ONE operator, one task per input file):
+Stage graph (all lazy, streaming, backpressured; Ray fuses it into ONE
+operator, one task per input file):
 
     read_parquet (one block per file)           source tasks
       → QualityFusedStage                       rules → decode → drop bytes
                                                 → langid → perplexity → scrub
                                                 (tasks w/ per-worker model
                                                 cache)
-      → mark dup + finalize_decision            resolved loser map (staged,
-                                                single) or distributed
-                                                left join (join)
+      → mark dup + finalize_decision            resolved loser map
 
 The dup pre-pass (a column-pruned scan of (phash, image_id) that never
 touches image bytes) runs FIRST, in the calling process: the main pass
@@ -34,11 +32,8 @@ Scale notes (100 TB):
 - The loser map holds only phashes that HAVE a duplicate
   (≈ dup fraction × N). ``phash_dup_losers(mode="auto")`` switches the
   aggregation from an in-process pyarrow merge to a hash-partitioned
-  task reduce above a footer-row threshold, and
-  ``images_quality_pipeline(dedup_mode="join")`` replaces the loser map
-  entirely with a hash-partitioned ``Dataset.join`` (see also
-  ``pipelines.dedup.semi_join_filter``) — no driver-side dup state at
-  any size.
+  task reduce above a footer-row threshold; only the final dup-only map
+  is broadcast to the mark step.
 - Image bytes never enter a shuffle; caption stages are Arrow
   zero-copy; models ship once per worker.
 """
@@ -51,7 +46,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Min, Sum
 
 from ..fixtures.images import seed_corpus
 from ..stages.image_stages import DecodeImageStage
@@ -60,17 +54,16 @@ from ..stages.perplexity import PerplexityScorer, train_char_lm
 from ..stages.rules import HeuristicRules, QualityConfig, finalize_decision
 from ..stages.scrub import PiiScrubber
 
-OUTPUT_COLS = [
-    "image_id", "keep", "drop_reason", "caption_scrubbed",
-    "lang_pred", "lang_score", "ppl", "pii_hits", "phash",
-]
 
+def _out_cols(cfg: QualityConfig) -> list[str]:
+    """Output schema, the id and dedup-key columns named by ``cfg``;
+    + align_score when the alignment rule is on."""
+    cols = [cfg.id_col, "keep", "drop_reason", "caption_scrubbed",
+            "lang_pred", "lang_score", "ppl", "pii_hits", cfg.dedup_key]
+    if cfg.align_threshold is not None:
+        cols.append("align_score")
+    return cols
 
-def _out_cols(cfg) -> list[str]:
-    """Output schema; + align_score when the alignment rule is on."""
-    if cfg is not None and cfg.align_threshold is not None:
-        return OUTPUT_COLS + ["align_score"]
-    return OUTPUT_COLS
 
 # rows above which the dup aggregation stops merging in the calling
 # process and uses the partitioned distributed reduce instead
@@ -83,7 +76,7 @@ DUP_SHUFFLE_THRESHOLD_ROWS = 1_000_000
 DUP_PARTITIONS = 32
 
 DUP_LOSER_MODES = ("auto", "driver", "partitioned")
-DEDUP_MODES = ("staged", "single", "join")
+DEDUP_MODES = ("staged",)
 
 
 def _ray_cpus() -> int:
@@ -120,30 +113,32 @@ class _DupCombiner:
         return g.rename_columns([self.key_col, "winner", "cnt"])
 
 
-def _dup_combined(proj_ds: "rd.Dataset", key_col: str = "phash",
-                  id_col: str = "image_id") -> "rd.Dataset":
-    return proj_ds.map_batches(
-        _DupCombiner(key_col, id_col), batch_format="pyarrow",
-        batch_size=65536, zero_copy_batch=True,
-    )
+def _int_keys(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """The int64 key column as numpy, nulls filled with 0 (callers mask
+    them out): ``to_numpy`` of a column holding a null returns float64,
+    where distinct keys above 2**53 collide."""
+    if col.null_count:
+        col = pc.fill_null(col, 0)
+    return col.to_numpy(zero_copy_only=False)
 
 
-def dup_groups_dataset(proj_ds: "rd.Dataset") -> "rd.Dataset":
-    """(phash, winner) for every phash with count > 1, as a DATASET —
-    the fully distributed dup decision (feeds the join-based marking;
-    only (phash, winner, cnt) combiner rows ever shuffle)."""
-    agg = _dup_combined(proj_ds).repartition(64).groupby("phash").aggregate(
-        Min("winner", alias_name="winner"),
-        Sum("cnt", alias_name="cnt"),
-    )
-    return agg.filter(expr="cnt > 1").select_columns(["phash", "winner"])
+def _dup_key_hits(col: "pa.ChunkedArray | pa.Array",
+                  keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, hit) per row: the row key's position in the sorted,
+    non-empty dup ``keys`` and whether it is one. Null keys never hit."""
+    ph = _int_keys(col)
+    idx = np.clip(np.searchsorted(keys, ph), 0, len(keys) - 1)
+    hit = keys[idx] == ph
+    if col.null_count:
+        hit &= pc.is_valid(col).to_numpy(zero_copy_only=False)
+    return idx, hit
 
 
 def _dup_partition_ids(ph_arr: "pa.ChunkedArray | pa.Array",
                        P: int) -> np.ndarray:
     """Hash partition id per row from the int64 phash (Fibonacci mix
     before the mod so non-uniform low bits can't skew partitions)."""
-    ph = ph_arr.to_numpy(zero_copy_only=False).astype(np.uint64)
+    ph = _int_keys(ph_arr).astype(np.uint64)
     with np.errstate(over="ignore"):
         mixed = ph * np.uint64(0x9E3779B97F4A7C15)
     return (mixed % np.uint64(P)).astype(np.int64)
@@ -210,9 +205,7 @@ def _dup_winner_task(keys_ref, key_col: str, id_col: str,
         if t.num_rows == 0 or len(keys) == 0:
             continue
         wcol = "winner" if "winner" in t.column_names else id_col
-        ph = t[key_col].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, ph), 0, len(keys) - 1)
-        mask = keys[idx] == ph
+        _, mask = _dup_key_hits(t[key_col], keys)
         if mask.any():
             f = t.select([key_col, wcol]).filter(pa.array(mask))
             out.append(f.rename_columns([key_col, "winner"]))
@@ -318,6 +311,16 @@ def _executed_block_refs(ds: "rd.Dataset") -> list:
     return impl(ds)
 
 
+def dup_losers_from_table(t: pa.Table, key_col: str = "phash",
+                          id_col: str = "image_id") -> tuple:
+    """The dup-loser map of an in-memory table holding ``key_col`` and
+    ``id_col``: one ``group_by`` in the calling process (null keys are
+    never dups)."""
+    g = t.group_by(key_col).aggregate([(id_col, "min"), (key_col, "count")])
+    g = g.filter(pc.greater(g[f"{key_col}_count"], 1))
+    return _winner_merge_local(g, key_col, f"{id_col}_min")
+
+
 def phash_dup_losers(source, key_col: str = "phash",
                      id_col: str = "image_id", mode: str = "auto") -> tuple:
     """The dup-loser map — (sorted int64 keys, aligned winner id Arrow
@@ -332,17 +335,24 @@ def phash_dup_losers(source, key_col: str = "phash",
       else — and for inputs with no parquet file list (Lance) —
       "partitioned".
     - "driver": no Ray job. pyarrow reads the two columns in the calling
-      process and one ``group_by`` resolves the map: O(#rows) memory
-      for two columns, the fast path while they fit one machine
-      (measured on 1 CPU against the three Ray executions it replaced:
-      0.011 vs 0.24 s at 8,192 rows, 0.58 vs 1.35 s at 1 M rows).
+      process and :func:`dup_losers_from_table` resolves the map:
+      O(#rows) memory for two columns, the fast path while they fit one
+      machine (measured on 1 CPU against the three Ray executions it
+      replaced: 0.011 vs 0.24 s at 8,192 rows, 0.58 vs 1.35 s at 1 M
+      rows).
     - "partitioned": a packed Ray read + per-batch combiner feeding the
       two-round hash-partitioned task reduce
       (:func:`dup_losers_from_refs`) — the 100 TB path; no driver state
       beyond the final dup-only map, scales with CPUs.
 
-    For corpora where even the LOSER set outgrows a broadcast, use
-    ``dup_groups_dataset`` + the join-based marking instead.
+    Where each wins (4-CPU / 15 GiB host, median of 3-5 runs, identical
+    maps), driver vs partitioned: at 1 CPU 1.07 vs 2.67 s at 2 M rows,
+    2.11 vs 4.34 s at 4 M, 4.68 vs 7.97 s at 8 M; at 4 CPUs 1.13 vs
+    1.41, 2.43 vs 2.62, 5.35 vs 4.53 s. The driver merge also adds
+    ~1.5 GB RSS at 8 M rows, so the threshold sits below the 4-CPU
+    crossover. The same reduce over ``dedup.exact_dup_groups`` was
+    4-43 % slower than "partitioned" (6.47 vs 4.53 s at 8 M rows / 4
+    CPUs): the int-only first round is what makes it fast.
     """
     from ..sources.readers import read_table, table_rows
 
@@ -361,11 +371,8 @@ def phash_dup_losers(source, key_col: str = "phash",
                              f"{source!r} has none")
         import pyarrow.parquet as pq
 
-        t = pq.read_table(files, columns=[key_col, id_col])
-        g = t.group_by(key_col).aggregate(
-            [(id_col, "min"), (key_col, "count")])
-        g = g.filter(pc.greater(g[f"{key_col}_count"], 1))
-        return _winner_merge_local(g, key_col, f"{id_col}_min")
+        return dup_losers_from_table(
+            pq.read_table(files, columns=[key_col, id_col]), key_col, id_col)
     # The read is PACKED into ~2 tasks/CPU: inputs written with small
     # bounded files (the fused-read layout) would otherwise spawn one
     # tiny per-file task whose open/footer overhead dominates a
@@ -375,29 +382,28 @@ def phash_dup_losers(source, key_col: str = "phash",
     nb = max(2 * _ray_cpus(), 1)
     if files:
         nb = min(nb, len(files))
-    proj = read_table(files or source, columns=[key_col, id_col],
-                      override_num_blocks=nb)
-    combined = _dup_combined(proj, key_col, id_col)
+    combined = read_table(
+        files or source, columns=[key_col, id_col], override_num_blocks=nb,
+    ).map_batches(_DupCombiner(key_col, id_col), batch_format="pyarrow",
+                  batch_size=65536, zero_copy_batch=True)
     return dup_losers_from_refs(_executed_block_refs(combined),
                                 key_col, id_col)
 
 
-def _mark_dup(batch: pa.Table, keys: np.ndarray,
-              winners: "pa.Array") -> pa.Table:
-    """rule_phash_dup = (phash in dup set) and (image_id != winner),
-    fully vectorized: searchsorted on the int64 keys, then an ARROW
+def _mark_dup(batch: pa.Table, keys: np.ndarray, winners: "pa.Array",
+              key_col: str = "phash", id_col: str = "image_id") -> pa.Table:
+    """rule_phash_dup = (key in dup set) and (id != winner), fully
+    vectorized: searchsorted on the int64 keys, then an ARROW
     take+not_equal over the candidate rows only — no Python-string
     round-trip of the whole id column (the old full ``to_pylist()``
     cost grew with the dup-row share: ~6 % of rows at the 25.6 M
     fixture means nearly every batch paid it)."""
-    ph = batch["phash"].to_numpy(zero_copy_only=False)
     mask = np.zeros(len(batch), dtype=bool)
     if len(keys):
-        idx = np.clip(np.searchsorted(keys, ph), 0, len(keys) - 1)
-        cand = keys[idx] == ph
+        idx, cand = _dup_key_hits(batch[key_col], keys)
         if cand.any():
             rows = np.nonzero(cand)[0]
-            ids = batch["image_id"].take(pa.array(rows))
+            ids = batch[id_col].take(pa.array(rows))
             if isinstance(ids, pa.ChunkedArray):
                 ids = ids.combine_chunks()
             w = winners.take(pa.array(idx[rows]))
@@ -414,13 +420,13 @@ class QualityFusedStage:
     nothing state, so fusing them eliminates inter-stage block handoffs
     — the kernels themselves are ~0.25 ms/row. Models are fetched from
     the object store ONCE per worker process (first call on a task
-    worker, via the module cache below).
+    worker, via the module cache below). A text-only table (no image
+    payload column) skips the decode and the gates on its columns.
     """
 
-    def __init__(self, cfg: QualityConfig, langid_ref, ppl_ref,
-                 decode: bool = True):
+    def __init__(self, cfg: QualityConfig, langid_ref, ppl_ref):
         self.rules = HeuristicRules(cfg)
-        self.decode = DecodeImageStage() if decode else None
+        self.decode = DecodeImageStage()
         if cfg.align_threshold is not None:
             from ..stages.align import CaptionAlignStage
             self.align = CaptionAlignStage(threshold=cfg.align_threshold,
@@ -435,7 +441,7 @@ class QualityFusedStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = self.rules(batch)
-        if self.decode is not None:
+        if self.decode.bytes_col in out.column_names:
             out = self.decode(out)
         if (self.min_px is not None or self.max_aspect is not None) \
                 and "dec_w" in out.column_names:
@@ -490,13 +496,12 @@ _STAGE_CACHE: dict = {}
 _DUP_CACHE: dict = {}
 
 
-def _fused_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref,
-                   decode) -> pa.Table:
-    key = (langid_ref.hex(), decode, cfg.align_threshold,
+def _fused_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref) -> pa.Table:
+    key = (langid_ref.hex(), cfg.align_threshold,
            cfg.min_image_px, cfg.max_aspect, cfg.min_contrast)
     stage = _STAGE_CACHE.get(key)
     if stage is None:
-        stage = QualityFusedStage(cfg, langid_ref, ppl_ref, decode=decode)
+        stage = QualityFusedStage(cfg, langid_ref, ppl_ref)
         _STAGE_CACHE[key] = stage
         if len(_STAGE_CACHE) > 8:          # old model generations
             for k in list(_STAGE_CACHE)[:-4]:
@@ -504,177 +509,78 @@ def _fused_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref,
     return stage(batch)
 
 
-def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref,
-                           select_cols=None) -> pa.Table:
-    if dup_ref is None:
-        out = finalize_decision(batch)
-    else:
-        key = dup_ref.hex()
-        lookup = _DUP_CACHE.get(key)
-        if lookup is None:
-            lookup = ray.get(dup_ref)
-            _DUP_CACHE.clear()
-            _DUP_CACHE[key] = lookup
-        out = finalize_decision(_mark_dup(batch, *lookup))
+def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref, cfg) -> pa.Table:
+    key = dup_ref.hex()
+    lookup = _DUP_CACHE.get(key)
+    if lookup is None:
+        lookup = ray.get(dup_ref)
+        _DUP_CACHE.clear()
+        _DUP_CACHE[key] = lookup
+    out = finalize_decision(
+        _mark_dup(batch, *lookup, cfg.dedup_key, cfg.id_col))
     # column selection folded in: a trailing select_columns would be
     # another operator, and every operator dilutes the fused op's share
     # under the executor's per-op resource reservation. A read with
     # include_paths=True keeps its ``path`` column (the CLI's in-task
     # shard write routes rows by it).
-    if not select_cols:
-        return out
+    cols = _out_cols(cfg)
     if "path" in out.column_names:
-        select_cols = select_cols + ["path"]
-    return out.select(select_cols)
-
-
-def _mark_finalize_join(out: "rd.Dataset", dup_ds: "rd.Dataset",
-                        num_partitions: int | None = None) -> "rd.Dataset":
-    """Join-based dup marking: left-join the label stream (bytes already
-    dropped) against the (phash, winner) dup dataset — zero driver-side
-    dup state; the at-10^12-images path."""
-    if num_partitions is None:
-        # join aggregators are actors: more partitions than CPUs
-        # deadlocks a small cluster, and a 4096-partition join of a
-        # small dup table is pure overhead anyway
-        num_partitions = max(2, min(64, _ray_cpus()))
-    # repartition the dup side first: the hash-shuffle aggregator can
-    # emit empty schema-less blocks that pyarrow's join rejects
-    dup_side = dup_ds.rename_columns({"winner": "__winner"}).repartition(
-        num_partitions)
-    joined = out.join(dup_side, join_type="left_outer",
-                      num_partitions=num_partitions, on=("phash",))
-
-    def mark(t: pa.Table) -> pa.Table:
-        isdup = pc.and_kleene(
-            pc.is_valid(t["__winner"]),
-            pc.not_equal(t["image_id"], t["__winner"]))
-        t = t.append_column("rule_phash_dup",
-                            isdup.combine_chunks() if isinstance(
-                                isdup, pa.ChunkedArray) else isdup)
-        t = t.drop_columns(["__winner"])
-        return finalize_decision(t)
-
-    return joined.map_batches(mark, batch_format="pyarrow", batch_size=65536)
-
-
-def _fused(ds: "rd.Dataset", cfg: QualityConfig, langid_model, ppl_model,
-           decode: bool) -> "rd.Dataset":
-    """The fused per-row model stage over ``ds``, whole-block batches;
-    the models ship once through the object store (default: the seeded
-    :func:`build_models`)."""
-    if langid_model is None or ppl_model is None:
-        lm, pm = build_models()
-        langid_model = langid_model or lm
-        ppl_model = ppl_model or pm
-    return ds.map_batches(
-        _fused_task_fn,
-        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
-                   "ppl_ref": ray.put(ppl_model), "decode": decode},
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
-
-
-def _mark_finalize(ds: "rd.Dataset", dup_map: tuple | None,
-                   cfg: QualityConfig, select_output: bool) -> "rd.Dataset":
-    """Mark dups against the resolved loser map (None: no dedup) and
-    finalize, whole-block batches. Same remote args as :func:`_fused`,
-    so Ray fuses the two into one operator."""
-    return ds.map_batches(
-        _mark_finalize_task_fn,
-        fn_kwargs={"dup_ref": None if dup_map is None else ray.put(dup_map),
-                   "select_cols": _out_cols(cfg) if select_output else None},
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
+        cols.append("path")
+    return out.select(cols)
 
 
 def quality_pipeline(
     ds: "rd.Dataset",
-    dup_map: tuple | None,
+    dup_map: tuple,
     cfg: QualityConfig | None = None,
     langid_model: dict | None = None,
     ppl_model: dict | None = None,
-    decode: bool = True,
-    select_output: bool = True,
-    dup_ds: "rd.Dataset | None" = None,
 ) -> "rd.Dataset":
-    """Assemble the flagship pipeline over an input Dataset.
-
-    Dups are marked against ``dup_map`` (the loser map from
-    :func:`phash_dup_losers`) or by joining ``dup_ds`` ((phash, winner)
-    Dataset from :func:`dup_groups_dataset`); both None disables dedup
-    marking.
-    """
+    """Assemble the flagship pipeline over an input Dataset: the fused
+    per-row model stage, then dup marking against ``dup_map`` (the loser
+    map from :func:`phash_dup_losers` or :func:`dup_losers_from_table`)
+    and the keep/drop decision, both as whole-block batches. The two
+    steps share their remote args, so Ray fuses them with the read into
+    one operator. The models ship once through the object store
+    (default: the seeded :func:`build_models`)."""
     cfg = cfg or QualityConfig()
-    out = _fused(ds, cfg, langid_model, ppl_model, decode)
-    if dup_ds is None:
-        return _mark_finalize(out, dup_map, cfg, select_output)
-    out = _mark_finalize_join(out, dup_ds)
-    return out.select_columns(_out_cols(cfg)) if select_output else out
-
-
-def _single_read_pipeline(
-    ds: "rd.Dataset", cfg: QualityConfig, decode: bool,
-    langid_model: dict | None = None, ppl_model: dict | None = None,
-    select_output: bool = True, spill_dir: str | None = None,
-) -> "rd.Dataset":
-    """ONE pass over the raw input: read → kernels fused into a single
-    operator producing the compact label rows (~190 B/row — the image
-    payload never leaves the read task), streamed STRAIGHT TO PARQUET
-    (``spill_dir``, one file per label block); the dup pre-pass then
-    runs over a pruned 2-column read of the label shards (no second
-    scan of the raw table — at 100 TB the pruned pre-pass read is the
-    expensive part); finally a cheap mark+finalize pass over the label
-    shards. Output is row-identical to the staged mode (same
-    combiner/decision, pinned by ``test_single_mode_matches_staged``).
-
-    Spilling the labels to parquet instead of ``materialize()`` removes
-    the old "labels must fit the object store" caveat: the write
-    streams with backpressure, nothing pins plasma across the dup
-    decision, and the label shards double as a resume point (re-running
-    the dup/mark phase never re-reads the raw table). ``spill_dir``
-    defaults to a fresh temp dir; pass a durable path to keep the label
-    shards as the checkpoint artifact."""
-    import tempfile
-
-    from ..sources.readers import parquet_files, read_parquet_fast
-
-    if spill_dir is None:
-        spill_dir = tempfile.mkdtemp(prefix="dq_single_labels_")
-    _fused(ds, cfg, langid_model, ppl_model, decode).write_parquet(spill_dir)
-    files = parquet_files(spill_dir)
-    dup_map = phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
-    labels = read_parquet_fast(files, override_num_blocks=len(files))
-    return _mark_finalize(labels, dup_map, cfg, select_output)
+    if langid_model is None or ppl_model is None:
+        lm, pm = build_models()
+        langid_model = langid_model or lm
+        ppl_model = ppl_model or pm
+    out = ds.map_batches(
+        _fused_task_fn,
+        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
+                   "ppl_ref": ray.put(ppl_model)},
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
+    return out.map_batches(
+        _mark_finalize_task_fn,
+        fn_kwargs={"dup_ref": ray.put(dup_map), "cfg": cfg},
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
 
 
 def images_quality_pipeline(
     input_path: str,
     cfg: QualityConfig | None = None,
-    decode: bool = True,
     dedup_mode: str = "staged",
-    **kw,
+    langid_model: dict | None = None,
+    ppl_model: dict | None = None,
 ) -> "rd.Dataset":
-    """End-to-end over a parquet images table.
+    """End-to-end over a parquet images table: the dup pre-pass runs
+    FIRST (it scans only (phash, image_id); see
+    :func:`phash_dup_losers`), then the main pass gets the resolved
+    loser map and Ray fuses read → kernels → mark(+select) into ONE
+    operator. ``dedup_mode`` must be "staged", this plan (any other
+    value raises ``ValueError``).
 
-    dedup_mode (any other value raises ``ValueError``):
-    - "staged" (default): the dup pre-pass runs FIRST (it scans only
-      (phash, image_id); see :func:`phash_dup_losers`); the main pass then gets
-      the resolved loser map and Ray fuses read → kernels →
-      mark(+select) into ONE operator at full parallelism. A single-op
-      plan sidesteps the streaming executor's per-operator resource
-      reservation, which caps a producer op at ~2/3 of the cluster
-      whenever a downstream operator exists (measured 21.6 vs 29 busy
-      CPUs of 32; see BASELINE.md).
-    - "single": ONE scan of the raw table — kernels run fused with the
-      read, compact labels stream straight to parquet shards, and the
-      dup decision + marking run over the shards (no pruned pre-pass
-      read of the raw table at all). The best mode when reading the
-      input twice is expensive (remote storage / 100 TB) and when
-      label rows ≪ input bytes. No object-store footprint: the label
-      write backpressures, and the shards double as a resume point.
-    - "join": fully distributed — the dup decision stays a Dataset and
-      marking is a hash-partitioned left join (no driver dup state).
+    This plan was the fastest in every regime measured against the two
+    it replaced (4-CPU host, 512 MiB object store, dqbench image input,
+    identical output frames). One raw scan with the labels spilled to
+    parquet: 0.90 s vs this plan's 0.58 s at 8,192 rows / 1 CPU, 2.63 vs
+    1.45 s at 65,536 rows / 4 CPUs. Marking by a hash-partitioned join:
+    6.36 vs 0.25 s at 8,192 rows / 4 CPUs, and no finish at 1 CPU.
 
     Read strategy: ``override_num_blocks`` = the FILE COUNT. Ray's
     default asks for at least ``read_op_min_num_blocks`` (200) blocks,
@@ -691,36 +597,29 @@ def images_quality_pipeline(
     fixture writes 8k-row files); ``target_max_block_size`` is capped
     so Ray size-splits a large file's output inside its read task,
     bounding per-task transient memory. Lance inputs (no file count)
-    keep Ray's default. Every read — main, pre-pass, single mode's
-    label re-read — takes the ``.parquet`` file list the footer probe
-    walked, so a stray non-parquet file in the input directory is
-    skipped, not read."""
+    keep Ray's default. Both reads take the ``.parquet`` file list the
+    footer probe walked, so a stray non-parquet file in the input
+    directory is skipped, not read."""
     if dedup_mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
     cfg = cfg or QualityConfig()
-    # cap block size so a fused read task's in-flight decode buffers
-    # stay bounded even on inputs with huge row groups; 32 MiB of
-    # encoded rows ≈ 13k images. Set on the context (execution is lazy
-    # and reads the context at execution time, so set-and-leave).
-    ctx = rd.DataContext.get_current()
-    ctx.target_max_block_size = min(
-        ctx.target_max_block_size or (128 << 20), 32 << 20)
     from ..sources.readers import read_table, table_rows
 
-    # The staged plan fuses to ONE operator, so the streaming
-    # executor's per-op resource reservation buys nothing — yet it
-    # still withholds slots (measured 25.7 → 22.3 s at 25.6 M rows /
-    # 32 CPUs with it disabled; steady busy 26.5 → 29+). The
-    # DataContext is SNAPSHOTTED when the source Dataset is created, so
-    # the flag is scoped to this plan: disabled before read_table,
-    # restored right after the plan is assembled. The multi-op modes
-    # (single's write + re-read, join's shuffle actors) keep the
-    # reservation — it is load-bearing against starvation there.
-    staged = dedup_mode == "staged"
-    prev_reservation = ctx.op_resource_reservation_enabled
-    if staged:
-        ctx.op_resource_reservation_enabled = False
+    # Two context settings scoped to this plan. Ray snapshots the
+    # DataContext when the read Dataset is created, so they are set
+    # before read_table and restored once the plan is assembled:
+    # - a 32 MiB block-size cap (≈ 13k encoded images) bounds a fused
+    #   read task's in-flight decode buffers even on inputs with huge
+    #   row groups;
+    # - the streaming executor's per-op resource reservation is off: the
+    #   plan is ONE operator, so the reservation buys nothing, yet it
+    #   still withholds slots (measured 25.7 → 22.3 s at 25.6 M rows /
+    #   32 CPUs with it disabled; steady busy 26.5 → 29+).
+    ctx = rd.DataContext.get_current()
+    prev = ctx.target_max_block_size, ctx.op_resource_reservation_enabled
+    ctx.target_max_block_size = min(prev[0] or (128 << 20), 32 << 20)
+    ctx.op_resource_reservation_enabled = False
     try:
         # the probe also seeds the footer cache the reads plan from
         _, files = table_rows(input_path)
@@ -729,17 +628,10 @@ def images_quality_pipeline(
         # kernel chain (lance keeps Ray's default)
         ds = read_table(src, override_num_blocks=len(files) if files
                         else None)
-        if dedup_mode == "single":
-            return _single_read_pipeline(ds, cfg, decode, **kw)
-        if dedup_mode == "join":
-            proj = read_table(src, columns=[cfg.dedup_key, cfg.id_col])
-            return quality_pipeline(ds, None, cfg, decode=decode,
-                                    dup_ds=dup_groups_dataset(proj), **kw)
         dup_map = phash_dup_losers(src, cfg.dedup_key, cfg.id_col)
-        return quality_pipeline(ds, dup_map, cfg, decode=decode, **kw)
+        return quality_pipeline(ds, dup_map, cfg, langid_model, ppl_model)
     finally:
-        if staged:
-            ctx.op_resource_reservation_enabled = prev_reservation
+        ctx.target_max_block_size, ctx.op_resource_reservation_enabled = prev
 
 
 def pipeline_metrics(executed_ds: "rd.Dataset") -> dict:
@@ -767,29 +659,3 @@ def pipeline_metrics(executed_ds: "rd.Dataset") -> dict:
             "rows_out": int(m_rows.group(1)) if m_rows else None,
         }
     return out
-
-
-def lineage_summary(out_ds: "rd.Dataset") -> pa.Table:
-    """Per-rule drop counts + keep count (the A9-style rollup).
-
-    Each block reduces to ≤ |rules|+1 (reason, count) rows inside
-    ``map_batches`` (the same per-batch counters the mark stage's
-    manifests use), then a streaming driver merge sums the tiny
-    partials — no groupby sort-exchange over the full label dataset
-    for a ≤ 20-row result."""
-
-    def per_block(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(pc.fill_null(t["drop_reason"], "\x00KEEP")
-                             .combine_chunks())
-        return pa.table({"drop_reason": vc.field("values"),
-                         "n": vc.field("counts").cast(pa.int64())})
-
-    counts: dict = {}
-    partials = out_ds.select_columns(["drop_reason"]).map_batches(
-        per_block, batch_format="pyarrow")
-    for b in partials.iter_batches(batch_format="pyarrow"):
-        for v, n in zip(b["drop_reason"].to_pylist(), b["n"].to_pylist()):
-            counts[v] = counts.get(v, 0) + n
-    reasons = [None if k == "\x00KEEP" else k for k in counts]
-    return pa.table({"drop_reason": pa.array(reasons, type=pa.string()),
-                     "n": pa.array(list(counts.values()), type=pa.int64())})

@@ -194,24 +194,6 @@ def test_semi_join_filter(ray_session):
     assert "__hit" not in semi.schema().names
 
 
-def test_quality_join_dedup_matches_broadcast(ray_session, images_path, models):
-    """dedup_mode='join' (hash-partitioned left join, zero driver dup
-    state) must produce exactly the staged loser-map decision."""
-    from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
-    from dataquality_cli_ray.stages.rules import QualityConfig
-
-    lm, pm = models
-    cfg = QualityConfig()
-    a = images_quality_pipeline(images_path, cfg, langid_model=lm,
-                                ppl_model=pm).to_pandas()
-    b = images_quality_pipeline(images_path, cfg, dedup_mode="join",
-                                langid_model=lm, ppl_model=pm).to_pandas()
-    a = a.sort_values("image_id").reset_index(drop=True)
-    b = b.sort_values("image_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert (b["drop_reason"] == "phash_dup").any()
-
-
 def test_ivf_topk_recall_vs_bruteforce(ray_session):
     rng = np.random.default_rng(11)
     n, d = 3000, 32

@@ -15,10 +15,7 @@ import pytest
 
 from dataquality_cli_ray.fixtures.golden import golden_labels
 from dataquality_cli_ray.functions import imagefake as IF
-from dataquality_cli_ray.pipelines.quality import (
-    images_quality_pipeline,
-    lineage_summary,
-)
+from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
 from dataquality_cli_ray.stages.rules import QualityConfig
 
 
@@ -97,35 +94,6 @@ def test_dedup_keeps_min_id(pipeline_and_golden):
     assert losers["drop_reason"].notna().all()
 
 
-def test_lineage_summary(ray_session, pipeline_and_golden):
-    import ray.data as rd
-
-    m = pipeline_and_golden
-    lin = lineage_summary(
-        rd.from_pandas(m[["drop_reason"]])).to_pydict()
-    assert sum(lin["n"]) == len(m)
-    expected = m["drop_reason"].fillna("KEEP").value_counts().to_dict()
-    got = {(k or "KEEP"): v for k, v in zip(lin["drop_reason"], lin["n"])}
-    assert got == expected
-
-
-def test_single_mode_matches_staged(ray_session, images_path, models,
-                                    pipeline_and_golden, tmp_path):
-    """dedup_mode='single' (one raw scan, labels spilled to parquet
-    shards, no materialize in the plan) is row-identical to staged
-    mode, and the spill dir holds the label shards as a resume point."""
-    lm, pm = models
-    spill = str(tmp_path / "labels")
-    out = images_quality_pipeline(
-        images_path, QualityConfig(), dedup_mode="single",
-        langid_model=lm, ppl_model=pm, spill_dir=spill,
-    ).to_pandas().sort_values("image_id").reset_index(drop=True)
-    staged = pipeline_and_golden[list(out.columns)]
-    pd.testing.assert_frame_equal(out, staged)
-    import glob
-    assert glob.glob(spill + "/*.parquet"), "label shards not written"
-
-
 def test_dup_loser_modes_identical(ray_session, images_path):
     """driver / partitioned dup decisions are value-identical
     (partitioned is what mode='auto' selects at scale)."""
@@ -173,18 +141,30 @@ def test_driver_dup_losers_start_no_ray_job(ray_session, images_path,
 
 
 def test_dup_losers_null_keys_never_dups(ray_session, tmp_path):
-    """Null keys form no dup group in either mode: only the real
-    duplicate key 5 maps to its min id."""
-    import pyarrow as pa
-    from dataquality_cli_ray.pipelines.quality import phash_dup_losers
+    """Null keys form no dup group in either mode, and marking a block
+    that holds a null flags only the real duplicate's loser — also for
+    keys above 2**53, where a float64 round-trip of the key column
+    would make K-1 equal to the dup key K."""
+    from dataquality_cli_ray.pipelines.quality import (
+        _mark_dup,
+        phash_dup_losers,
+    )
 
-    path = str(tmp_path / "nulls.parquet")
-    pq.write_table(pa.table({
-        "phash": pa.array([None, None, 5, 5, 7], type=pa.int64()),
-        "image_id": ["a", "b", "c", "d", "e"]}), path)
-    for mode in ("driver", "partitioned"):
-        keys, winners = phash_dup_losers(path, mode=mode)
-        assert dict(zip(keys.tolist(), winners.to_pylist())) == {5: "c"}
+    K = 2**62 + 2
+    cases = [([None, None, 5, 5, 7], ["a", "b", "c", "d", "e"], {5: "c"},
+              [False, False, False, True, False]),
+             ([None, K - 1, K, K], ["n", "x", "y", "z"], {K: "y"},
+              [False, False, False, True])]
+    for i, (phash, ids, want, marked) in enumerate(cases):
+        t = pa.table({"phash": pa.array(phash, type=pa.int64()),
+                      "image_id": ids})
+        path = str(tmp_path / f"nulls{i}.parquet")
+        pq.write_table(t, path)
+        for mode in ("driver", "partitioned"):
+            keys, winners = phash_dup_losers(path, mode=mode)
+            assert dict(zip(keys.tolist(), winners.to_pylist())) == want
+            got = _mark_dup(t, keys, winners)["rule_phash_dup"].to_pylist()
+            assert got == marked, (mode, phash)
 
 
 def test_stray_non_parquet_file_skipped(ray_session, images_path, models,
@@ -211,7 +191,7 @@ def test_unknown_modes_rejected(ray_session, images_path):
     running some other plan (modes are case-sensitive)."""
     from dataquality_cli_ray.pipelines.quality import phash_dup_losers
 
-    for mode in ("broadcast", "Staged", "shuffle"):
+    for mode in ("single", "join", "broadcast", "Staged", "shuffle"):
         with pytest.raises(ValueError, match="dedup_mode"):
             images_quality_pipeline(images_path, QualityConfig(),
                                     dedup_mode=mode)
@@ -273,11 +253,25 @@ def multi_file_images(images_path, tmp_path_factory):
 def test_staged_plan_is_one_fused_operator(ray_session, models,
                                            multi_file_images):
     """One read task per file fuses with the kernel chain: the executed
-    staged plan is ONE operator, with no SplitBlocks."""
+    staged plan is ONE operator, with no SplitBlocks. The plan's block
+    size cap and reservation switch live in the plan's own context; the
+    process-wide context is left as it was."""
+    import ray.data as rd
+
     lm, pm = models
-    ds = images_quality_pipeline(multi_file_images, QualityConfig(),
-                                 dedup_mode="staged",
-                                 langid_model=lm, ppl_model=pm)
+    ctx = rd.DataContext.get_current()
+    prev = ctx.target_max_block_size, ctx.op_resource_reservation_enabled
+    ctx.target_max_block_size = 128 << 20
+    try:
+        ds = images_quality_pipeline(multi_file_images, QualityConfig(),
+                                     dedup_mode="staged",
+                                     langid_model=lm, ppl_model=pm)
+        assert ctx.target_max_block_size == 128 << 20
+        assert ctx.op_resource_reservation_enabled == prev[1]
+    finally:
+        ctx.target_max_block_size = prev[0]
+    assert ds.context.target_max_block_size == 32 << 20
+    assert ds.context.op_resource_reservation_enabled is False
     n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
     assert n == 600
     assert _executed_ops(ds) == [FUSED_OP]

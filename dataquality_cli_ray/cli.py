@@ -116,10 +116,15 @@ def cmd_describe(args) -> int:
                 reports.append(render_describe(os.path.basename(f),
                                                per_file[f], dt / len(per_file)))
         else:
-            csvs = discover_files(path, "csv")
+            try:
+                csvs = discover_files(path, "csv", opts)
+            except FileNotFoundError:
+                print(f"no parquet or csv inputs found in {path}",
+                      file=sys.stderr)
+                return 2
             for f in [c["path"] for c in csvs]:
                 s = time.time()
-                stats = describe(read_csv_auto(f))
+                stats = describe(read_csv_auto(f), mode=mode)
                 reports.append(render_describe(os.path.basename(f), stats,
                                                time.time() - s))
     else:
@@ -363,10 +368,10 @@ def cmd_corpus(args) -> int:
                                      for ch in iter(lambda: fh.read(1 << 20),
                                                     b""))
         else:
-            from .state.checkpoint import _count_rows_parquet
+            from .state.checkpoint import count_rows_parquet
 
             out.write_parquet(args.output)
-            n = _count_rows_parquet(args.output)
+            n = count_rows_parquet(args.output)
     print({"op": op, "rows_out": n, "output": args.output,
            "elapsed_sec": round(time.time() - t0, 3)})
     return 0

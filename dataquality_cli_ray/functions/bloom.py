@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .hashing import _GOLDEN, _splitmix64
+from .hashing import GOLDEN, splitmix64
 
 
 def bloom_params(n_keys: int, fpr: float = 0.01) -> tuple[int, int]:
@@ -37,8 +37,8 @@ def bloom_params(n_keys: int, fpr: float = 0.01) -> tuple[int, int]:
 
 def _h1h2(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = keys.astype(np.uint64, copy=False).view(np.uint64)
-    h1 = _splitmix64(u)
-    h2 = _splitmix64(u ^ _GOLDEN) | np.uint64(1)
+    h1 = splitmix64(u)
+    h2 = splitmix64(u ^ GOLDEN) | np.uint64(1)
     return h1, h2
 
 

@@ -14,11 +14,11 @@ import numpy as np
 import pyarrow as pa
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
+FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+FNV_PRIME = np.uint64(0x100000001B3)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def stable_hash64(s: str | bytes) -> int:
@@ -49,7 +49,7 @@ def knuth_u32(ids: np.ndarray) -> np.ndarray:
         return (np.asarray(ids).astype(np.uint64) * _KNUTH32) % _U32_MOD
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer (public-domain mixer) — in place on uint64."""
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
@@ -65,7 +65,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 _POW_CACHE: dict[int, np.ndarray] = {}
 
 
-def _pow_table(n: int, prime: np.uint64 = _FNV_PRIME) -> np.ndarray:
+def _pow_table(n: int, prime: np.uint64 = FNV_PRIME) -> np.ndarray:
     t = _POW_CACHE.get(int(prime))
     if t is None or len(t) < n:
         size = max(n, 4096)
@@ -111,8 +111,8 @@ def _stable_hash64_arrow(arr: "pa.Array | pa.ChunkedArray") -> np.ndarray:
         sums = c[offs[1:] - start] - c[offs[:-1] - start]
         # fold in a nonzero offset so "" doesn't mix to 0 (the null
         # sentinel): splitmix64(0) == 0
-        h = _splitmix64(sums ^ (lens.astype(np.uint64) * _GOLDEN)
-                        ^ _FNV_OFFSET)
+        h = splitmix64(sums ^ (lens.astype(np.uint64) * GOLDEN)
+                        ^ FNV_OFFSET)
     if arr.null_count:
         h[arr.is_null().to_numpy(zero_copy_only=False)] = 0
     return h.view(np.int64)
@@ -143,10 +143,10 @@ def char_shingle_hashes(text: str, k: int = 5) -> np.ndarray:
         b = b + b" " * (k - len(b))
     arr = np.frombuffer(b, dtype=np.uint8)
     n = len(arr) - k + 1
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for j in range(k):
-            h = (h ^ arr[j : n + j].astype(np.uint64)) * _FNV_PRIME
+            h = (h ^ arr[j : n + j].astype(np.uint64)) * FNV_PRIME
     return np.unique(h)
 
 
@@ -175,10 +175,10 @@ def char_shingle_hashes_batch(
     lens = np.fromiter((len(b) for b in bs), dtype=np.int64, count=len(bs))
     arr = np.frombuffer(b"".join(bs), dtype=np.uint8)
     n = len(arr) - k + 1
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for j in range(k):
-            h = (h ^ arr[j : n + j].astype(np.uint64)) * _FNV_PRIME
+            h = (h ^ arr[j : n + j].astype(np.uint64)) * FNV_PRIME
     # valid window starts per doc: [start_d, start_d + len_d - k]
     counts = lens - k + 1
     starts = np.zeros(len(bs), dtype=np.int64)
@@ -311,10 +311,10 @@ class MinHasher:
         keys = np.empty(bands, dtype=np.uint64)
         for bi in range(bands):
             chunk = sig[bi * rows : (bi + 1) * rows]
-            h = _FNV_OFFSET ^ np.uint64(bi)
+            h = FNV_OFFSET ^ np.uint64(bi)
             with np.errstate(over="ignore"):
                 for v in chunk:
-                    h = (h ^ v) * _FNV_PRIME
+                    h = (h ^ v) * FNV_PRIME
             keys[bi] = h
         return keys
 
@@ -327,9 +327,9 @@ class MinHasher:
         keys = np.empty((n, bands), dtype=np.uint64)
         with np.errstate(over="ignore"):
             for bi in range(bands):
-                h = np.full(n, _FNV_OFFSET ^ np.uint64(bi), dtype=np.uint64)
+                h = np.full(n, FNV_OFFSET ^ np.uint64(bi), dtype=np.uint64)
                 for r in range(rows):
-                    h = (h ^ sigs[:, bi * rows + r]) * _FNV_PRIME
+                    h = (h ^ sigs[:, bi * rows + r]) * FNV_PRIME
                 keys[:, bi] = h
         return keys
 
@@ -412,10 +412,10 @@ def rolling_fingerprints(text: str, k: int = 8, window: int = 16) -> np.ndarray:
         return np.array([stable_hash64(text)], dtype=np.uint64)
     arr = np.frombuffer(b, dtype=np.uint8)
     n = len(arr) - k + 1
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for j in range(k):
-            h = (h ^ arr[j : n + j].astype(np.uint64)) * _FNV_PRIME
+            h = (h ^ arr[j : n + j].astype(np.uint64)) * FNV_PRIME
     if n <= window:
         return np.unique(h.min(keepdims=True))
     strides = np.lib.stride_tricks.sliding_window_view(h, window)

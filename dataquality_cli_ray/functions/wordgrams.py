@@ -30,10 +30,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .hashing import _FNV_OFFSET, _FNV_PRIME, _GOLDEN, _splitmix64
+from .hashing import FNV_OFFSET, FNV_PRIME, GOLDEN, splitmix64
 
 # modular inverse of the FNV prime mod 2^64 (odd => invertible)
-_PINV = np.uint64(pow(int(_FNV_PRIME), -1, 1 << 64))
+_PINV = np.uint64(pow(int(FNV_PRIME), -1, 1 << 64))
 
 # grow-on-demand cumulative power tables, one per base, cached per
 # process (Ray workers build them once; sized to the largest batch
@@ -170,7 +170,7 @@ def hash_spans(seg: np.ndarray, starts: np.ndarray,
     docstring)."""
     L = len(seg)
     pinv = _pow_series(_PINV, L + 1)
-    ppow = _pow_series(_FNV_PRIME, L + 1)
+    ppow = _pow_series(FNV_PRIME, L + 1)
     s = np.zeros(L + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         np.cumsum(seg.astype(np.uint64) * pinv[:L], out=s[1:])
@@ -178,9 +178,9 @@ def hash_spans(seg: np.ndarray, starts: np.ndarray,
         # span; for an empty span the product is 0 regardless of the
         # (then out-of-range, numpy-wrapped) power index.
         poly = (s[ends] - s[starts]) * ppow[ends - 1]
-        return _splitmix64(
-            poly ^ ((ends - starts).astype(np.uint64) * _GOLDEN)
-            ^ _FNV_OFFSET)
+        return splitmix64(
+            poly ^ ((ends - starts).astype(np.uint64) * GOLDEN)
+            ^ FNV_OFFSET)
 
 
 def word_ngram_hashes_batch(

@@ -38,6 +38,7 @@ from ..functions.rounding import round_half_up
 from ..functions.wordgrams import (
     hash_spans, lower_filled, spans_to_strings, word_bounds,
     word_ngram_hashes_batch, word_ngram_spans_batch)
+from .exchange import block_refs, exchange, partitions, split_refs
 
 logger = logging.getLogger(__name__)
 
@@ -176,14 +177,7 @@ def cap_per_key(
             _cached_ref(caps_ref) if caps_ref is not None else None),
         batch_format="pyarrow", batch_size=65536,
     )
-    refs = []
-    for bundle in parts.iter_internal_ref_bundles():
-        # skip known-empty blocks: Ray never calls the map fn on an
-        # empty block, so it rides through SCHEMA-LESS and breaks any
-        # select/concat downstream
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = block_refs(parts)
     while len(refs) > 1:
         refs = [
             _cap_combine.remote(key_col, id_col, k, caps_ref,
@@ -204,17 +198,16 @@ def cap_per_key(
 
 def cap_per_key_dataset(
     ds: "rd.Dataset", key_col: str, id_col: str, k: int,
-    caps: pa.Table | None = None, num_partitions: int | None = None,
+    caps: pa.Table | None = None,
 ) -> "rd.Dataset":
     """:func:`cap_per_key` for high-cardinality keys: identical
     ROW_NUMBER-<=-K semantics, but the kept ``(key, id)`` set is
-    hash-partitioned by key (the dedup pipelines' split/merge exchange)
-    and returned as a Dataset — the winner set never materializes on
-    the driver, so exact-caption / URL caps at web scale stay bounded
-    by K x (keys per partition) per task. Feed the result to
-    ``dedup.semi_join_filter`` to apply the cap to the full table."""
-    from .dedup import _exchange
-
+    hash-partitioned by key (the shared ``exchange.exchange``, P from
+    ``exchange.partitions``) and returned as a Dataset — the winner set
+    never materializes on the driver, so exact-caption / URL caps at
+    web scale stay bounded by K x (keys per partition) per task. Feed
+    the result to ``dedup.semi_join_filter`` to apply the cap to the
+    full table."""
     caps_ref = ray.put(caps) if caps is not None else None
     parts = ds.select_columns([key_col, id_col]).map_batches(
         lambda t: _cap_partial(
@@ -222,11 +215,7 @@ def cap_per_key_dataset(
             _cached_ref(caps_ref) if caps_ref is not None else None),
         batch_format="pyarrow", batch_size=65536,
     )
-    refs = []
-    for bundle in parts.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:  # skip schema-less empty blocks
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = block_refs(parts)
     if not refs:
         # Derive the empty result's types from the input schema so an
         # int key / string id round-trips (hardcoded string/int64 broke
@@ -235,17 +224,8 @@ def cap_per_key_dataset(
         return rd.from_arrow(pa.table(
             {key_col: pa.array([], type=sch.field(key_col).type),
              id_col: pa.array([], type=sch.field(id_col).type)}))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # partition count tracks the input block count: a 2-block input
-    # through 32 merge tasks is pure task-latency (the
-    # cross_doc_shared_grams heuristic); large inputs still fan to CPUs
-    P = num_partitions or max(2, min(32, cpus, len(refs)))
-    merged = _exchange(refs, key_col, P, _cap_combine,
-                       key_col, id_col, k, caps_ref)
-    return rd.from_arrow_refs(merged)
+    return rd.from_arrow_refs(exchange(refs, key_col, _cap_combine,
+                                       key_col, id_col, k, caps_ref))
 
 
 # ---------------------------------------------------------------- #
@@ -281,17 +261,10 @@ def _merge_gram_counts(t: pa.Table) -> pa.Table:
                      "cnt": pa.array(sums, type=pa.int64())})
 
 
-@ray.remote
-def _gram_split(P: int, *group) -> list:
-    """Combine a group of per-block partials, then split the result by
-    ``hash(gram) % P`` (num_returns=P — each slice goes straight to
-    its partition's merge task, never through the driver; partials are
-    varargs because Ray only resolves TOP-LEVEL ObjectRef args)."""
-    from ..functions.hashing import stable_hash64_array
-
-    t = _merge_gram_counts(pa.concat_tables(group))
-    h = stable_hash64_array(t["gram"]).view(np.uint64) % np.uint64(P)
-    return [t.filter(pa.array(h == p)) for p in range(P)]
+def _combine_gram_counts(*partials: pa.Table) -> pa.Table:
+    """A split task's group of per-block partials as one (gram, cnt)
+    table, before the exchange splits it by gram."""
+    return _merge_gram_counts(pa.concat_tables(partials))
 
 
 @ray.remote
@@ -307,17 +280,16 @@ def _gram_merge_topk(k: int, *parts) -> pa.Table:
 
 def top_ngrams(
     ds: "rd.Dataset", text_col: str, n: int, k: int,
-    split_group: int = 8,
 ) -> pa.Table:
     """Corpus-wide top-k most frequent word n-grams — the word-count
     aggregate behind boilerplate detection. EXACT counts: per-block
     combiner reduces each block to its distinct grams (counted on
     hashes, strings carried once per distinct gram), then a two-stage
     hash-partitioned exchange over raw Ray tasks (the dup-reduce /
-    bucket-pair pattern, CLAUDE.md): split tasks re-combine groups of
-    partials and hash-split by gram; one merge task per partition
-    computes exact counts + local top-k; the driver merges only P x k
-    rows. Tie-break: count DESC, gram ASC — deterministic, matches
+    bucket-pair pattern, ``exchange.py``): split tasks re-combine
+    groups of partials and hash-split by gram; one merge task per
+    partition computes exact counts + local top-k; the driver merges
+    only P x k rows. Tie-break: count DESC, gram ASC — deterministic, matches
     the SQL oracle.
 
     Scale: no stage ever holds more than (distinct grams / P) rows;
@@ -327,24 +299,13 @@ def top_ngrams(
     parts = ds.select_columns([text_col]).map_batches(
         lambda t: _ngram_count_partial(t, text_col, n),
         batch_format="pyarrow", batch_size=8192)
-    refs = []
-    for bundle in parts.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(parts)
     if not refs:
         return pa.table({"gram": pa.array([], type=pa.string()),
                          "cnt": pa.array([], type=pa.int64())})
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # P >= 2: with num_returns=1 Ray would hand the merge task the
-    # whole returned list instead of one slice per partition
-    P = max(2, min(32, cpus, (len(refs) + 1) // 2))
-    split_outs = [
-        _gram_split.options(num_returns=P).remote(P, *refs[i:i + split_group])
-        for i in range(0, len(refs), split_group)
-    ]
-    topks = [_gram_merge_topk.remote(k, *[s[p] for s in split_outs])
+    P = partitions(len(refs))
+    splits = split_refs(refs, "gram", P, _combine_gram_counts)
+    topks = [_gram_merge_topk.remote(k, *[s[p] for s in splits])
              for p in range(P)]
     merged = pa.concat_tables(ray.get(topks))
     idx = pc.sort_indices(merged, sort_keys=[("cnt", "descending"),
@@ -609,9 +570,7 @@ def pack_sequences(
     # across blocks or the range-disjointness check loses granularity
     counts = ds.select_columns([id_col, text_col]).map_batches(
         counts_fn, batch_format="pyarrow", batch_size=None)
-    refs = []
-    for bundle in counts.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(counts)
     summaries = ray.get([_pack_summary.remote(id_col, r) for r in refs])
     live = [(s, r) for s, r in zip(summaries, refs) if s[0] is not None]
     live.sort(key=lambda x: x[0][0])
@@ -884,7 +843,7 @@ def _xdoc_doc_merge(*parts) -> pa.Table:
 
 def cross_doc_shared_grams(
     ds: "rd.Dataset", text_col: str = "text", id_col: str = "doc_id",
-    n: int = 5, split_group: int = 8,
+    n: int = 5,
 ) -> pa.Table:
     """Inter-document duplicated-span signal (the exact-substring-
     dedup statistic of Lee et al. 2022, "Deduplicating Training Data
@@ -895,10 +854,9 @@ def cross_doc_shared_grams(
     (whole-doc similarity) methods miss.
 
     Plan: per-block combiner emits distinct (gram-hash, doc) pairs;
-    the two-stage hash-partitioned exchange (top_ngrams' pattern)
-    routes equal grams to one partition; each merge task reduces to
-    per-doc (total, shared) counts — O(docs), never O(grams), leaves
-    a task. Driver folds the P per-doc partials (O(docs) driver
+    the shared hash exchange (``exchange.exchange``) routes equal grams
+    to one partition; each merge task reduces to per-doc (total,
+    shared) counts — O(docs), never O(grams), leaves a task. Driver folds the P per-doc partials (O(docs) driver
     state, same caveat as :func:`key_counts`: past driver memory,
     re-exchange the partials by doc hash instead). Hash-vs-string
     equality caveat as :func:`decontaminate`: collisions 2^-64 per
@@ -910,25 +868,15 @@ def cross_doc_shared_grams(
     parts = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: _xdoc_pair_partial(t, text_col, id_col, n),
         batch_format="pyarrow", batch_size=8192)
-    refs = []
-    for bundle in parts.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(parts)
     empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                       "n_grams": pa.array([], type=pa.int64()),
                       "n_shared": pa.array([], type=pa.int64()),
                       "shared_frac": pa.array([], type=pa.float64())})
     if not refs:
         return empty
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus, (len(refs) + 1) // 2))
-    # dedup's argsort+slice split task (P filter passes over the pair
-    # table would cost P x the memory traffic)
-    from .dedup import _exchange
-    folds = _exchange(refs, "h", P, _xdoc_merge)
-    per_doc = _exchange(folds, "doc", P, _xdoc_doc_merge)
+    folds = exchange(refs, "h", _xdoc_merge)
+    per_doc = exchange(folds, "doc", _xdoc_doc_merge)
     t = pa.concat_tables(ray.get(per_doc))
     if t.num_rows == 0:
         return empty
@@ -1158,8 +1106,7 @@ def _span_rebuild(t: pa.Table, text_col: str, id_col: str,
 
 def remove_duplicate_spans(
     ds: "rd.Dataset", text_col: str = "text", id_col: str = "doc_id",
-    n: int = 5, num_partitions: int | None = None,
-    keep_first: bool = False,
+    n: int = 5, keep_first: bool = False,
 ) -> "rd.Dataset":
     """Remove every word covered by a corpus-duplicated word n-gram and
     rebuild the text (module comment above). Output per input row:
@@ -1169,12 +1116,8 @@ def remove_duplicate_spans(
     (smallest (doc, pos)) — the keep-one-copy semantics of Lee et al.
     2022 at gram granularity (a spared word can still be cut when a
     DIFFERENT gram's non-first occurrence covers it)."""
-    from .dedup import _exchange, _exchange_split_task
-
     base = ds.select_columns([id_col, text_col])
-    base_refs = []
-    for bundle in base.iter_internal_ref_bundles():
-        base_refs.extend(bundle.block_refs)
+    base_refs = block_refs(base)
     if not base_refs:
         return base.map_batches(
             lambda t: _span_rebuild(t, text_col, id_col, n),
@@ -1182,23 +1125,14 @@ def remove_duplicate_spans(
     # occurrences computed from the SAME pinned blocks (one input scan)
     occ_refs = [_span_occ_task.remote(text_col, id_col, n, r)
                 for r in base_refs]
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = num_partitions or max(2, min(32, cpus, 2 * len(base_refs)))
-    dup_occ = _exchange(occ_refs, "h", P, _span_dup_occ, keep_first)
-    cov_refs = _exchange(dup_occ, "doc", P, _span_cov_lists, id_col)
+    P = partitions(len(base_refs))
+    dup_occ = exchange(occ_refs, "h", _span_dup_occ, keep_first, P=P)
+    cov_refs = exchange(dup_occ, "doc", _span_cov_lists, id_col, P=P)
     # co-partition the text by the SAME key hash and finalize per
     # partition with raw tasks — a Dataset.join here spins hash-shuffle
     # aggregator ACTORS (seconds per job, the CLAUDE.md tasks-beat-
     # actors rule) for what is a one-pass lookup + rebuild
-    group = 8
-    splits = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, id_col, *base_refs[i : i + group])
-        for i in range(0, len(base_refs), group)
-    ]
+    splits = split_refs(base_refs, id_col, P)
     out_refs = [
         _span_finalize_part.remote(text_col, id_col, n, cov_refs[p],
                                    *[s[p] for s in splits])
@@ -1330,7 +1264,6 @@ def _line_finalize_part(text_col: str, id_col: str, sep: str,
 def dedup_lines(
     ds: "rd.Dataset", text_col: str = "text", id_col: str = "doc_id",
     sep: str = "\n", min_chars: int = 1,
-    num_partitions: int | None = None,
 ) -> "rd.Dataset":
     """Corpus-wide exact LINE dedup, keep-first: every line (text split
     on ``sep``) whose exact content occurs more than once in the whole
@@ -1346,28 +1279,18 @@ def dedup_lines(
     co-partitioned by the same doc-key hash and rebuilt per partition
     with raw tasks — no Dataset.join actors, no driver state, only
     24 B/occurrence on the wire."""
-    from .dedup import _exchange, _exchange_split_task
-    from .quality import _ray_cpus
-
     base = ds.select_columns([id_col, text_col])
-    base_refs = []
-    for bundle in base.iter_internal_ref_bundles():
-        base_refs.extend(bundle.block_refs)
+    base_refs = block_refs(base)
     if not base_refs:
         return base.map_batches(
             lambda t: _line_rebuild(t, text_col, id_col, sep),
             batch_format="pyarrow", batch_size=8192)
     occ_refs = [_line_occ_task.remote(text_col, id_col, sep, min_chars, r)
                 for r in base_refs]
-    P = num_partitions or max(2, min(32, _ray_cpus(), 2 * len(base_refs)))
-    dup_occ = _exchange(occ_refs, "h", P, _span_dup_occ, True)
-    cov_refs = _exchange(dup_occ, "doc", P, _span_cov_lists, id_col)
-    group = 8
-    splits = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, id_col, *base_refs[i : i + group])
-        for i in range(0, len(base_refs), group)
-    ]
+    P = partitions(len(base_refs))
+    dup_occ = exchange(occ_refs, "h", _span_dup_occ, True, P=P)
+    cov_refs = exchange(dup_occ, "doc", _span_cov_lists, id_col, P=P)
+    splits = split_refs(base_refs, id_col, P)
     out_refs = [
         _line_finalize_part.remote(text_col, id_col, sep, cov_refs[p],
                                    *[s[p] for s in splits])

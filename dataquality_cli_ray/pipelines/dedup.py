@@ -81,6 +81,7 @@ from ..functions.hashing import (
     simhash64_batch,
     stable_hash64_array,
 )
+from .exchange import block_refs, exchange, partitions, split, split_refs
 
 # ---------------------------------------------------------------- exact
 
@@ -124,16 +125,11 @@ def exact_dup_groups(ds: "rd.Dataset", key_col: str, id_col: str) -> "rd.Dataset
         _KeyCombiner(key_col, id_col), batch_format="pyarrow",
         batch_size=65536, zero_copy_batch=True,
     )
-    refs = _executed_block_refs(combined)
+    refs = block_refs(combined)
     if not refs:
         return combined
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus, 4 * len(refs)))
     return rd.from_arrow_refs(
-        _exchange(refs, key_col, P, _group_minsum_task, key_col))
+        exchange(refs, key_col, _group_minsum_task, key_col))
 
 
 class _HashText:
@@ -159,8 +155,9 @@ def exact_dedup_by_text(ds: "rd.Dataset", text_col: str, id_col: str) -> "rd.Dat
 # ------------------------------------------------- bucket-pair exchange
 #
 # LSH pair generation over exploded (bucket_key, id, payload) rows as a
-# two-stage hash-partitioned exchange over raw Ray tasks — the same
-# documented Dataset-first exception as ``quality.dup_losers_from_refs``
+# two-stage hash-partitioned exchange over raw Ray tasks (``exchange.py``,
+# shared with ``quality.dup_losers_from_refs``) — the documented
+# Dataset-first exception
 # (``Dataset.groupby`` pays a sort-based shuffle on these tiny rows:
 # measured 11.5 s for the count pass + 7.5 s of per-group ``map_groups``
 # over 80 k exploded rows / 3.3 k buckets at sf0.1; the exchange does the
@@ -173,59 +170,6 @@ def exact_dedup_by_text(ds: "rd.Dataset", text_col: str, id_col: str) -> "rd.Dat
 # full buckets feed the vectorized pair kernel, and a second tiny
 # exchange on hash(id_a) deduplicates pairs that surface from several
 # bands. Only (key, id, fixed-size sig) rows ever move.
-
-
-def _key_partition_ids(arr: "pa.ChunkedArray | pa.Array", P: int) -> np.ndarray:
-    """Partition id per row: int64 keys are Fibonacci-mixed (uniform even
-    on structured key spaces); string ids hash through stable_hash64."""
-    if pa.types.is_integer(arr.type):
-        k = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-    else:
-        k = stable_hash64_array(arr).view(np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = k * np.uint64(0x9E3779B97F4A7C15)
-    return (mixed % np.uint64(P)).astype(np.int64)
-
-
-@ray.remote
-def _exchange_split_task(P: int, key_col: str, *tables: pa.Table) -> list[pa.Table]:
-    t = pa.concat_tables(tables)
-    if t.num_rows == 0:
-        return [t] * P
-    # one argsort + one take + P zero-copy slices — P filter passes over
-    # the table cost P× the memory traffic (measured on the dup reduce)
-    part = _key_partition_ids(t[key_col], P)
-    order = np.argsort(part, kind="stable")
-    t = t.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-            for i in range(P)]
-
-
-def _executed_block_refs(ds: "rd.Dataset") -> list:
-    """Execute a Dataset and return its block ObjectRefs WITHOUT
-    ``to_arrow_refs()``: that helper calls ``schema(fetch_if_missing)``
-    AFTER draining the plan, which re-executes a ``limit=1`` slice of
-    the whole chain (~0.7 s of pure serial overhead per call on a lazy
-    plan). Blocks here are always Arrow (pyarrow batch format)."""
-    try:
-        bundles = ds.iter_internal_ref_bundles()
-        return [ref for b in bundles for ref in b.block_refs]
-    except AttributeError:                      # Ray internals moved
-        return ds.to_arrow_refs()
-
-
-def _exchange(refs, key_col: str, P: int, merge_task, *merge_args) -> list:
-    """blocks → split by hash(key) → one merge task per partition.
-    Returns the merge tasks' ObjectRefs (one per partition)."""
-    group = 8   # ~1 split task per ~8 blocks (local pre-concat)
-    splits = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, key_col, *refs[i : i + group])
-        for i in range(0, len(refs), group)
-    ]
-    return [merge_task.remote(*merge_args, *[s[p] for s in splits])
-            for p in range(P)]
 
 
 def _nonsingleton_groups(df: pd.DataFrame, key_col: str):
@@ -279,23 +223,13 @@ def _bucket_pair_exchange(exploded: "rd.Dataset", key_col: str,
     """Run the full explode → bucket-pairs → pair-dedup reduction; see
     the block comment above. ``partition_merge`` is the per-partition
     remote task producing a (id_a, id_b, val_col) pair table."""
-    refs = _executed_block_refs(exploded)
+    refs = block_refs(exploded)
     if not refs:
         id_type = exploded.schema().field("doc_id").type
         val_type = pa.float64() if how == "max" else pa.int64()
         return rd.from_arrow(_pairs_to_table([], id_type, val_col, val_type))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # partition count tracks the exploded block count (the
-    # cap_per_key_dataset heuristic): a 1-2 block sf0.1 input through
-    # 32 merge tasks is pure task latency; wide inputs still fan out
-    P = max(2, min(32, cpus, 4 * len(refs)))
-    pair_refs = _exchange(refs, key_col, P, partition_merge, *merge_args)
-    # pairs ≪ exploded rows: a narrower second exchange is plenty
-    P2 = max(2, min(8, cpus, P))
-    deduped = _exchange(pair_refs, "id_a", P2, _pair_dedup_task, val_col, how)
+    pair_refs = exchange(refs, key_col, partition_merge, *merge_args)
+    deduped = exchange(pair_refs, "id_a", _pair_dedup_task, val_col, how)
     return rd.from_arrow_refs(deduped)
 
 
@@ -310,7 +244,7 @@ JOIN_PARTITION_SIZE_HINT = 32 << 20
 
 def semi_join_filter(
     ds: "rd.Dataset", keys_ds: "rd.Dataset", key_col: str,
-    num_partitions: int | None = None, anti: bool = False,
+    anti: bool = False,
 ) -> "rd.Dataset":
     """Distributed semi-join (anti=True: anti-join) membership filter:
     keep rows of ``ds`` whose ``key_col`` appears (resp. does not
@@ -320,14 +254,9 @@ def semi_join_filter(
     both sides shuffle only their key (+carried) columns."""
     from ray.data.aggregate import Count
 
-    if num_partitions is None:
-        # join aggregators are actors: more partitions than CPUs can
-        # deadlock a small cluster
-        try:
-            num_partitions = max(2, min(64, int(
-                ray.cluster_resources().get("CPU", 8))))
-        except Exception:
-            num_partitions = 8
+    # join aggregators are actors: more partitions than CPUs can
+    # deadlock a small cluster (a lazy join: no block term)
+    num_partitions = partitions()
     marker = keys_ds.select_columns([key_col]).groupby(key_col).aggregate(
         Count(alias_name="__hit"))
     # the hash-shuffle aggregator can emit empty schema-less blocks for
@@ -386,13 +315,7 @@ def _cc_msg_task(P: int, labels: pa.Table, edges: pa.Table) -> list[pa.Table]:
         return [empty] * P
     idx = pc.index_in(edges["src"], value_set=labels["node"].combine_chunks())
     lab = pc.take(labels["label"], idx)
-    m = pa.table({"node": edges["dst"], "label": lab})
-    part = _key_partition_ids(m["node"], P)
-    order = np.argsort(part, kind="stable")
-    m = m.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [m.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-            for i in range(P)]
+    return split(pa.table({"node": edges["dst"], "label": lab}), "node", P)
 
 
 @ray.remote(num_returns=2)
@@ -473,8 +396,7 @@ def dup_clusters(pairs: "rd.Dataset | pa.Table", id_a: str = "id_a",
         refs = None
         npairs = pairs.num_rows
     else:
-        refs = _executed_block_refs(
-            pairs.select_columns([id_a, id_b]))
+        refs = block_refs(pairs.select_columns([id_a, id_b]))
         pairs_tbl = None
         npairs = sum(ray.get([_cc_nrows.remote(r) for r in refs]))
     if mode == "auto":
@@ -495,11 +417,7 @@ def dup_clusters(pairs: "rd.Dataset | pa.Table", id_a: str = "id_a",
     # ---- partitioned label propagation ----
     if pairs_tbl is not None:
         refs = [ray.put(pairs_tbl.select([id_a, id_b]))]
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus))
+    P = partitions(len(refs))
 
     @ray.remote
     def to_edges(t: pa.Table) -> pa.Table:
@@ -509,8 +427,7 @@ def dup_clusters(pairs: "rd.Dataset | pa.Table", id_a: str = "id_a",
         return pa.concat_tables([fwd, rev])
 
     edge_refs = [to_edges.remote(r) for r in refs]
-    split_parts = _exchange(edge_refs, "src", P, _cc_concat)
-    edges = split_parts                       # one pinned table per part
+    edges = exchange(edge_refs, "src", _cc_concat, P=P)  # pinned per part
     labels = [_cc_init_labels.remote(e) for e in edges]
     rounds = 0
     while rounds < max_rounds:
@@ -719,11 +636,7 @@ def _verify_pairs_join(
 ) -> "rd.Dataset":
     """Bucketed verify path: shingle sets meet their pairs through
     hash-partitioned joins — no driver-side id set or text map."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus))
+    P = partitions()                  # lazy joins: no block term
     cand_ids = pairs.select_columns(["id_a"]).rename_columns(
         {"id_a": id_col}).union(
         pairs.select_columns(["id_b"]).rename_columns({"id_b": id_col}))
@@ -735,8 +648,7 @@ def _verify_pairs_join(
     cand_ids = cand_ids.map_batches(distinct_ids, batch_format="pyarrow",
                                     batch_size=65536)
     cand_docs = semi_join_filter(
-        docs_ds.select_columns([id_col, text_col]), cand_ids, id_col,
-        num_partitions=P)
+        docs_ds.select_columns([id_col, text_col]), cand_ids, id_col)
 
     def to_shingles(t: pa.Table) -> pa.Table:
         hashes, offsets = char_shingle_hashes_batch(
@@ -1038,17 +950,12 @@ def embedding_dup_pairs_lsh(
     keyed = ds.select_columns([id_col, vec_col]).map_batches(
         add_key, batch_format="pyarrow", batch_size=4096,
     )
-    refs = _executed_block_refs(keyed)
+    refs = block_refs(keyed)
     if not refs:
         return rd.from_arrow(
             _pairs_to_table([], pa.string(), "cosine", pa.float64()))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus))
-    pair_refs = _exchange(refs, "lsh_key", P, _emb_partition_task,
-                          vec_col, id_col, threshold, max_bucket)
+    pair_refs = exchange(refs, "lsh_key", _emb_partition_task,
+                         vec_col, id_col, threshold, max_bucket)
     return rd.from_arrow_refs(pair_refs)
 
 
@@ -1058,9 +965,9 @@ def embedding_dup_pairs_lsh(
 # ingested, not just within the batch. The index is the corpus's
 # content-hash set persisted as parquet PARTITIONED BY
 # ``part = mix(text_hash) % P`` — O(8 bytes) a document, append-only.
-# The on-disk partitioning function IS ``_key_partition_ids`` on the
-# text_hash column (shared with every other exchange here — changing
-# it invalidates existing indexes), so deduping a new batch needs NO
+# The on-disk partitioning function IS ``exchange.partition_ids`` on the
+# text_hash column (shared with every other exchange — changing it
+# invalidates existing indexes), so deduping a new batch needs NO
 # shuffle of the index at all: the new
 # side's (hash, id) pairs are hash-split by the same function, and one
 # merge task per partition reads exactly its index partition's files,
@@ -1076,10 +983,7 @@ def _hash_id_pairs(ds: "rd.Dataset", text_col: str,
     hashed = ds.select_columns([text_col, id_col]).map_batches(
         _HashText(text_col), batch_format="pyarrow", batch_size=65536
     ).select_columns(["text_hash", id_col])
-    refs = []
-    for bundle in hashed.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    return refs
+    return block_refs(hashed)
 
 
 def _min_per_hash(t: pa.Table, id_col: str) -> pa.Table:
@@ -1189,8 +1093,7 @@ def _index_layout(index_dir: str) -> int:
 
 def build_dedup_index(
     ds: "rd.Dataset", text_col: str, id_col: str, out_dir: str,
-    n_partitions: int = 64, split_group: int = 8,
-    bloom_fpr: float = 0.01,
+    n_partitions: int = 64, bloom_fpr: float = 0.01,
 ) -> int:
     """Persist the corpus's exact-dedup index: one row per DISTINCT
     content hash, (text_hash, winner id), hash-partitioned on disk by
@@ -1205,17 +1108,13 @@ def build_dedup_index(
 
     os.makedirs(out_dir, exist_ok=True)
     refs = _hash_id_pairs(ds, text_col, id_col)
-    P = n_partitions
-    split_outs = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, "text_hash", *refs[i:i + split_group])
-        for i in range(0, len(refs), split_group)
-    ]
-    if not split_outs:
+    if not refs:
         return 0
+    P = n_partitions
+    splits = split_refs(refs, "text_hash", P)
     counts = ray.get([
         _index_write_part.remote(p, out_dir, id_col, bloom_fpr,
-                                 *[s[p] for s in split_outs])
+                                 *[s[p] for s in splits])
         for p in range(P)
     ])
     return int(sum(counts))
@@ -1223,7 +1122,6 @@ def build_dedup_index(
 
 def dedup_against_index(
     ds: "rd.Dataset", index_dir: str, text_col: str, id_col: str,
-    split_group: int = 8,
 ) -> "rd.Dataset":
     """Incremental exact dedup: drop new documents whose content hash
     is already in the persisted index, keep-first (min id) among the
@@ -1239,14 +1137,10 @@ def dedup_against_index(
     if not refs:
         return rd.from_arrow(
             pa.table({id_col: pa.array([], type=pa.int64())}))
-    split_outs = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, "text_hash", *refs[i:i + split_group])
-        for i in range(0, len(refs), split_group)
-    ]
+    splits = split_refs(refs, "text_hash", P)
     out_refs = [
         _incr_filter_part.remote(p, index_dir, id_col,
-                                 *[s[p] for s in split_outs])
+                                 *[s[p] for s in splits])
         for p in range(P)
     ]
     return rd.from_arrow_refs(out_refs)
@@ -1343,16 +1237,10 @@ def semdedup(
 
     keyed = ds.select_columns([id_col, vec_col]).map_batches(
         add_cell, batch_format="pyarrow", batch_size=4096)
-    refs = []
-    for bundle in keyed.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(keyed)
     if not refs:
         return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(32, cpus, n_clusters))
-    out_refs = _exchange(refs, "sem_cell", P, _sem_partition_task,
-                         vec_col, id_col, threshold, max_bucket)
+    out_refs = exchange(refs, "sem_cell", _sem_partition_task,
+                        vec_col, id_col, threshold, max_bucket,
+                        P=partitions(len(refs), limit=n_clusters))
     return rd.from_arrow_refs(out_refs)

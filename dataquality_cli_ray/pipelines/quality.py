@@ -40,6 +40,8 @@ Scale notes (100 TB):
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -53,6 +55,8 @@ from ..stages.langid import LangIdScorer, train_langid_model
 from ..stages.perplexity import PerplexityScorer, train_char_lm
 from ..stages.rules import HeuristicRules, QualityConfig, finalize_decision
 from ..stages.scrub import PiiScrubber
+from .exchange import (
+    block_refs, cluster_cpus, group_size, partitions, split_refs)
 
 
 def _out_cols(cfg: QualityConfig) -> list[str]:
@@ -70,23 +74,8 @@ def _out_cols(cfg: QualityConfig) -> list[str]:
 # (mode="auto")
 DUP_SHUFFLE_THRESHOLD_ROWS = 1_000_000
 
-# fan-out of the partitioned dup reduce: stage-A tasks each split their
-# combiner rows into this many hash partitions; stage-B runs one merge
-# task per partition
-DUP_PARTITIONS = 32
-
 DUP_LOSER_MODES = ("auto", "driver", "partitioned")
 DEDUP_MODES = ("staged",)
-
-
-def _ray_cpus() -> int:
-    """CPUs of the current Ray cluster (NOT os.cpu_count(), which
-    ignores ray.init(num_cpus=...))."""
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        import os
-        return os.cpu_count() or 8
 
 
 def build_models(seed: int = 42) -> tuple[dict, dict]:
@@ -134,31 +123,18 @@ def _dup_key_hits(col: "pa.ChunkedArray | pa.Array",
     return idx, hit
 
 
-def _dup_partition_ids(ph_arr: "pa.ChunkedArray | pa.Array",
-                       P: int) -> np.ndarray:
-    """Hash partition id per row from the int64 phash (Fibonacci mix
-    before the mod so non-uniform low bits can't skew partitions)."""
-    ph = _int_keys(ph_arr).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = ph * np.uint64(0x9E3779B97F4A7C15)
-    return (mixed % np.uint64(P)).astype(np.int64)
-
-
-@ray.remote
-def _dup_count_split_task(P: int, key_col: str,
-                          *tables: pa.Table) -> list[pa.Table]:
-    """Round 1, stage A of the partitioned dup reduce: ship ONLY the
-    int columns (phash, cnt) — ~94 % of keys are global singletons, so
-    exchanging the winner STRING for every key was over half the bytes
-    and made the local group_by aggregate strings. Partitioning is one
-    argsort + one take + P zero-copy slices (P filter passes over the
-    table was the other measured cost).
+def _dup_counts(key_col: str, *tables: pa.Table) -> pa.Table:
+    """Round 1, stage A of the partitioned dup reduce, run inside the
+    exchange's split task: ship ONLY the int columns (phash, cnt) —
+    ~94 % of keys are global singletons, so exchanging the winner
+    STRING for every key was over half the bytes and made the local
+    group_by aggregate strings.
 
     Accepts either combiner outputs (key, winner, cnt) or RAW blocks
     (any table containing key_col): raw blocks are counted inline, so
     a caller holding already-materialized blocks needs NO extra Dataset
     pass (a per-block combiner pass over B blocks costs B task
-    launches; this folds it into the B/8 split tasks that run anyway)."""
+    launches; this folds it into the split tasks that run anyway)."""
     norm = []
     for x in tables:
         if "cnt" in x.column_names:
@@ -169,15 +145,9 @@ def _dup_count_split_task(P: int, key_col: str,
             norm.append(g.rename_columns([key_col, "cnt"]))
     t = pa.concat_tables(norm)
     if t.num_rows == 0:
-        return [t] * P
+        return t
     g = t.group_by(key_col).aggregate([("cnt", "sum")])
-    t = g.rename_columns([key_col, "cnt"])
-    part = _dup_partition_ids(t[key_col], P)
-    order = np.argsort(part, kind="stable")
-    t = t.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-            for i in range(P)]
+    return g.rename_columns([key_col, "cnt"])
 
 
 @ray.remote
@@ -247,8 +217,7 @@ def _dup_winner_merge(key_col: str, *parts: pa.Table) -> tuple:
 
 
 def dup_losers_from_refs(refs: list, key_col: str = "phash",
-                         id_col: str = "image_id",
-                         P: int = DUP_PARTITIONS) -> tuple:
+                         id_col: str = "image_id") -> tuple:
     """The distributed dup decision: a two-ROUND hash-partitioned reduce
     over raw Ray tasks fed DIRECTLY by block ObjectRefs — no Ray Data
     plan at all (``Dataset.groupby`` benchmarked ~3× slower than even a
@@ -256,37 +225,30 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
     manual exchange of pre-combined (key, winner, cnt) tables is the
     documented exception to Dataset-first). ``phash_dup_losers``'s
     "partitioned" mode feeds it combiner blocks; raw (key, id) blocks
-    work too, combined inside the ~B/8 split tasks instead of a B-task
-    Dataset combiner pass.
+    work too, combined inside the exchange's split tasks instead of a
+    B-task Dataset combiner pass.
 
     Round 1 exchanges int-only (key, cnt) to find the global dup keys;
     round 2 broadcasts those keys (O(dups)) and pulls just their
     (key, winner) rows from the pinned blocks. The string column never
     rides the wide exchange (measured: the reduce fell from 12–14 s to
     ~3 s at 12.8 M rows / 32 CPUs). No driver-side state proportional
-    to distinct keys; scales with CPUs at every stage. (P >= 2 always:
-    with num_returns=1 Ray would hand the merge task the whole returned
-    LIST instead of unpacking it per partition.)
+    to distinct keys; scales with CPUs at every stage. The partition
+    count, the partition function and the split fan-out are the shared
+    exchange's (``exchange.partitions``, ``partition_ids``,
+    ``split_refs``). A fixed P=32 was slower than that rule on the
+    combiner blocks of 4 M rows with 6 % dups (median of 3 alternated
+    processes, identical maps): 3.25 vs 2.96 s at 1 CPU (P=2), 1.22 vs
+    1.09 s at 4 CPUs (P=4).
 
     Identical output to phash_dup_losers (pinned by
     test_dup_loser_modes_identical)."""
-    P = max(2, P)
     if not refs:
         return _empty_lookup()
-    # group size adapts to cluster width: a fixed group of 8 left only
-    # len(refs)/8 split tasks — an 8-way ceiling on a 32-CPU leg that
-    # turned the whole round-1 exchange into width-independent overhead
-    # (~5.6 s of the staged pre-chain at 25.6 M rows). Keep at least
-    # 2 tasks/CPU for work-stealing balance; cap at 8 so narrow
-    # clusters still get cross-block re-combining before the exchange.
-    group = max(1, min(8, len(refs) // (2 * _ray_cpus())))
-    split_outs = []
-    for i in range(0, len(refs), group):
-        split_outs.append(
-            _dup_count_split_task.options(num_returns=P).remote(
-                P, key_col, *refs[i : i + group]))
+    P = partitions(len(refs))
+    splits = split_refs(refs, key_col, P, partial(_dup_counts, key_col))
     key_parts = ray.get([
-        _dup_count_merge_task.remote(key_col, *[s[p] for s in split_outs])
+        _dup_count_merge_task.remote(key_col, *[s[p] for s in splits])
         for p in range(P)
     ])
     dup_keys = np.sort(np.concatenate(key_parts)) if key_parts else \
@@ -294,6 +256,7 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
     if len(dup_keys) == 0:
         return _empty_lookup()
     keys_ref = ray.put(dup_keys)
+    group = group_size(len(refs))     # the split tasks' block groups
     winner_parts = [
         _dup_winner_task.remote(keys_ref, key_col, id_col,
                                 *refs[i : i + group])
@@ -301,14 +264,6 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
     ]
     # overlap: the winner tasks run while the merge task waits on them
     return ray.get(_dup_winner_merge.remote(key_col, *winner_parts))
-
-
-def _executed_block_refs(ds: "rd.Dataset") -> list:
-    """Shared with the dedup exchanges — see dedup._executed_block_refs
-    (avoids to_arrow_refs's ~0.7 s limit-1 schema re-execution)."""
-    from .dedup import _executed_block_refs as impl
-
-    return impl(ds)
 
 
 def dup_losers_from_table(t: pa.Table, key_col: str = "phash",
@@ -379,15 +334,14 @@ def phash_dup_losers(source, key_col: str = "phash",
     # two-column scan (measured 2.7 s packed vs 8.5 s per-file at 449
     # files / 3.2 M rows), but never more blocks than files
     # (oversplitting adds a SplitBlocks op).
-    nb = max(2 * _ray_cpus(), 1)
+    nb = max(2 * cluster_cpus(), 1)
     if files:
         nb = min(nb, len(files))
     combined = read_table(
         files or source, columns=[key_col, id_col], override_num_blocks=nb,
     ).map_batches(_DupCombiner(key_col, id_col), batch_format="pyarrow",
                   batch_size=65536, zero_copy_batch=True)
-    return dup_losers_from_refs(_executed_block_refs(combined),
-                                key_col, id_col)
+    return dup_losers_from_refs(block_refs(combined), key_col, id_col)
 
 
 def _mark_dup(batch: pa.Table, keys: np.ndarray, winners: "pa.Array",

@@ -31,6 +31,7 @@ from ray.data.aggregate import Count
 
 from ..functions.rounding import round_half_up
 from ..sources.readers import read_parquet_small
+from .exchange import block_refs, exchange, partitions, split_refs
 
 # per-WORKER-PROCESS broadcast cache (once-per-worker fetch for
 # stateless-task stages; Ray reuses worker processes across tasks)
@@ -351,23 +352,17 @@ def session_windows(sf_dir: str, gap_minutes: int = 30,
     # in one partition; sessionize_bucket is key-mix-safe) instead of
     # groupby(bucket).map_groups — drops the sort-shuffle operator, same
     # semantics (the bucket column only existed to bound group count)
-    from .dedup import _exchange, _executed_block_refs
-
     marked = ds.map_batches(add_bucket, batch_format="pyarrow",
                             batch_size=65536, zero_copy_batch=True)
-    refs = _executed_block_refs(marked)
+    refs = block_refs(marked)
     if not refs:
         df = (marked.groupby("user_bucket")
               .map_groups(sessionize_bucket, batch_format="pandas")
               .to_pandas())
     else:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        P = max(2, min(num_buckets, cpus, 4 * len(refs)))
-        out_refs = _exchange(refs, "user_id", P,
-                             _sessionize_task, sessionize_bucket)
+        out_refs = exchange(refs, "user_id", _sessionize_task,
+                            sessionize_bucket,
+                            P=partitions(len(refs), limit=num_buckets))
         df = pd.concat([t.to_pandas() for t in ray.get(out_refs)],
                        ignore_index=True)
     df["n_events"] = df["n_events"].astype("int64")
@@ -515,23 +510,12 @@ def asof_join(
     # promotion (how="left" nullable ints -> float) stays consistent
     # across surviving blocks, matching the map_groups behavior of only
     # materializing non-empty groups.
-    from .dedup import _exchange_split_task, _executed_block_refs
-
-    refs = _executed_block_refs(uni)
+    refs = block_refs(uni)
     if not refs:                                 # blockless input
         return uni.groupby("__bucket").map_groups(
             merge_bucket, batch_format="pandas")
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    P = max(2, min(num_buckets, cpus, 4 * len(refs)))
-    group = 8
-    splits = [
-        _exchange_split_task.options(num_returns=P).remote(
-            P, "__key", *refs[i:i + group])
-        for i in range(0, len(refs), group)
-    ]
+    P = partitions(len(refs), limit=num_buckets)
+    splits = split_refs(refs, "__key", P)
     out_refs = [
         _asof_merge_task.options(num_returns=2).remote(
             merge_bucket, *[s[p] for s in splits])

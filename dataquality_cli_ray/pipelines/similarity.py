@@ -21,6 +21,7 @@ import ray
 import ray.data as rd
 
 from ..functions.arrays import ids_np, list_col_to_matrix
+from .exchange import block_refs
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -85,11 +86,7 @@ def _finalize_topk(local: "rd.Dataset", k: int, empty: pa.Table,
     sort exchange, no pandas conversion (replaces the old
     ``groupby("query_id").map_groups(batch_format="pandas")``, which
     paid a full sort shuffle for this)."""
-    refs = []
-    for bundle in local.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:  # skip schema-less empty blocks
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = block_refs(local)
     while len(refs) > 1:
         refs = [_topk_combine.remote(k, *refs[i:i + combine_group])
                 for i in range(0, len(refs), combine_group)]

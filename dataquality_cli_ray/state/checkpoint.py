@@ -201,7 +201,8 @@ def run_resumable(
     }
 
 
-def _count_rows_parquet(d: str) -> int:
+def count_rows_parquet(d: str) -> int:
+    """Rows of every parquet file under ``d``, from the footers."""
     total = 0
     for root, _, files in os.walk(d):
         for f in files:

@@ -7,6 +7,7 @@ Usage: python scripts/check_correctness.py [name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 import traceback
@@ -43,7 +44,8 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the entry module of THIS checkout, wherever it lives
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as E
 
     qs = E.queries()

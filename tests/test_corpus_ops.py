@@ -171,8 +171,7 @@ def test_cap_per_key_dataset_matches_tree(ray_session):
                     (pa.table({"source": ["src3", "src18"],
                                "cap": [5, 2]}), 0)]:
         tree = cap_per_key(docs, "source", "doc_id", k, caps=caps)
-        part = (cap_per_key_dataset(docs, "source", "doc_id", k,
-                                    caps=caps, num_partitions=4)
+        part = (cap_per_key_dataset(docs, "source", "doc_id", k, caps=caps)
                 .to_pandas().sort_values(["source", "doc_id"]))
         assert part["source"].tolist() == tree.column("source").to_pylist()
         assert part["doc_id"].tolist() == tree.column("doc_id").to_pylist()
@@ -230,10 +229,14 @@ def test_entry_contract(ray_session):
     """Driver contract: entry() returns rows with a stable schema;
     every queries() key has an oracle_sql() twin (the round-3 repo
     keeps zero rows-only queries)."""
-    import sys
+    import importlib.util
+    import os
 
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as E
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "__ray_entry__.py")
+    spec = importlib.util.spec_from_file_location("__ray_entry__", path)
+    E = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(E)
 
     qs, oracles = E.queries(), E.oracle_sql()
     assert set(oracles) == set(qs)

@@ -183,8 +183,8 @@ def test_semi_join_filter(ray_session):
     keys = [{"k": v} for v in [2, 5, 5, 6]]
     ds = rd_mod.from_items(rows)
     kds = rd_mod.from_items(keys)
-    semi = DD.semi_join_filter(ds, kds, "k", num_partitions=4)
-    anti = DD.semi_join_filter(ds, kds, "k", num_partitions=4, anti=True)
+    semi = DD.semi_join_filter(ds, kds, "k")
+    anti = DD.semi_join_filter(ds, kds, "k", anti=True)
     got_semi = sorted(r["id"] for r in semi.take_all())
     got_anti = sorted(r["id"] for r in anti.take_all())
     want_semi = sorted(i for i in range(50) if i % 7 in {2, 5, 6})

@@ -280,3 +280,49 @@ def test_describe_file_matches_dataset_describe(ray_session, tmp_path):
         got.drop(columns=num), want.drop(columns=num))
     for c in num:
         np.testing.assert_allclose(got[c], want[c], rtol=1e-12)
+
+
+def _describe_args(path, recursive=False, mode="exact"):
+    import argparse
+
+    return argparse.Namespace(path=str(path), recursive=recursive,
+                              output=None, num_cpus=None, mode=mode)
+
+
+def test_describe_cli_csv_dir_honors_recursive_and_mode(ray_session, tmp_path,
+                                                        monkeypatch, capsys):
+    """`describe DIR` over CSV files reads the nested file only with
+    --recursive, and profiles every file in the chosen --mode."""
+    from dataquality_cli_ray import cli
+    from dataquality_cli_ray.pipelines import profiler
+
+    (tmp_path / "top.csv").write_text("a,b\n1,x\n2,y\n3,x\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "nested.csv").write_text("a,b\n4,z\n")
+    modes = []
+    real = profiler.describe
+
+    def spy(ds, *a, mode="exact", **k):
+        modes.append(mode)
+        return real(ds, *a, mode=mode, **k)
+
+    monkeypatch.setattr(profiler, "describe", spy)
+    assert cli.cmd_describe(_describe_args(tmp_path, mode="sketch")) == 0
+    out = capsys.readouterr().out
+    assert "top.csv" in out and "nested.csv" not in out
+    assert modes == ["sketch"]
+
+    modes.clear()
+    assert cli.cmd_describe(_describe_args(tmp_path, recursive=True)) == 0
+    out = capsys.readouterr().out
+    assert "top.csv" in out and "nested.csv" in out
+    assert modes == ["exact", "exact"]
+
+
+def test_describe_cli_empty_dir_exits_2(ray_session, tmp_path, capsys):
+    """A directory with no parquet or csv input is a usage error (exit
+    2 and a message), not a traceback."""
+    from dataquality_cli_ray import cli
+
+    assert cli.cmd_describe(_describe_args(tmp_path)) == 2
+    assert "no parquet or csv inputs" in capsys.readouterr().err

@@ -600,7 +600,7 @@ def key_counts(ds: "rd.Dataset", key_col: str) -> pa.Table:
     """Exact per-key row counts via per-batch value-counts combiner +
     driver merge — O(distinct keys) driver state, sorted by key. For
     key cardinalities past driver memory use the hash-partitioned
-    exchange (top_ngrams' _gram_split) instead."""
+    exchange (``exchange.exchange`` / ``split_refs``) instead."""
     def vc(batch: pa.Table) -> pa.Table:
         s = pc.value_counts(batch[key_col].combine_chunks())
         return pa.table({"k": s.field("values"),
@@ -1117,11 +1117,9 @@ def remove_duplicate_spans(
     2022 at gram granularity (a spared word can still be cut when a
     DIFFERENT gram's non-first occurrence covers it)."""
     base = ds.select_columns([id_col, text_col])
-    base_refs = block_refs(base)
-    if not base_refs:
-        return base.map_batches(
-            lambda t: _span_rebuild(t, text_col, id_col, n),
-            batch_format="pyarrow", batch_size=8192)
+    # an empty input rides through as one typed empty block
+    base_refs = block_refs(base) or [
+        ray.put(base.schema().base_schema.empty_table())]
     # occurrences computed from the SAME pinned blocks (one input scan)
     occ_refs = [_span_occ_task.remote(text_col, id_col, n, r)
                 for r in base_refs]
@@ -1280,11 +1278,9 @@ def dedup_lines(
     with raw tasks — no Dataset.join actors, no driver state, only
     24 B/occurrence on the wire."""
     base = ds.select_columns([id_col, text_col])
-    base_refs = block_refs(base)
-    if not base_refs:
-        return base.map_batches(
-            lambda t: _line_rebuild(t, text_col, id_col, sep),
-            batch_format="pyarrow", batch_size=8192)
+    # an empty input rides through as one typed empty block
+    base_refs = block_refs(base) or [
+        ray.put(base.schema().base_schema.empty_table())]
     occ_refs = [_line_occ_task.remote(text_col, id_col, sep, min_chars, r)
                 for r in base_refs]
     P = partitions(len(base_refs))

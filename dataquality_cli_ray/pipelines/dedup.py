@@ -229,7 +229,10 @@ def _bucket_pair_exchange(exploded: "rd.Dataset", key_col: str,
         val_type = pa.float64() if how == "max" else pa.int64()
         return rd.from_arrow(_pairs_to_table([], id_type, val_col, val_type))
     pair_refs = exchange(refs, key_col, partition_merge, *merge_args)
-    deduped = exchange(pair_refs, "id_a", _pair_dedup_task, val_col, how)
+    # pairs ≪ exploded rows: a narrower second exchange is plenty (no
+    # wider than the first, at most 8)
+    deduped = exchange(pair_refs, "id_a", _pair_dedup_task, val_col, how,
+                       P=partitions(limit=min(8, len(pair_refs))))
     return rd.from_arrow_refs(deduped)
 
 
@@ -399,15 +402,17 @@ def dup_clusters(pairs: "rd.Dataset | pa.Table", id_a: str = "id_a",
         refs = block_refs(pairs.select_columns([id_a, id_b]))
         pairs_tbl = None
         npairs = sum(ray.get([_cc_nrows.remote(r) for r in refs]))
+    if npairs == 0:       # typed empty result (no blocks to exchange)
+        sch = (pairs.schema if pairs_tbl is not None
+               else pairs.schema().base_schema)
+        return pa.table({"doc_id": pa.array([], sch.field(id_a).type),
+                         "cluster_id": pa.array([], sch.field(id_b).type)})
     if mode == "auto":
         mode = "driver" if npairs < 5_000_000 else "partitioned"
 
     if mode == "driver":
         if pairs_tbl is None:
             pairs_tbl = pa.concat_tables(ray.get(refs)).select([id_a, id_b])
-        if pairs_tbl.num_rows == 0:
-            return pa.table({"doc_id": pairs_tbl[id_a],
-                             "cluster_id": pairs_tbl[id_b]})
         a = pairs_tbl[id_a].to_numpy(zero_copy_only=False)
         b = pairs_tbl[id_b].to_numpy(zero_copy_only=False)
         out = _cc_driver(a, b)
@@ -417,7 +422,9 @@ def dup_clusters(pairs: "rd.Dataset | pa.Table", id_a: str = "id_a",
     # ---- partitioned label propagation ----
     if pairs_tbl is not None:
         refs = [ray.put(pairs_tbl.select([id_a, id_b]))]
-    P = partitions(len(refs))
+    # no block term: the P edge partitions stay pinned for every round,
+    # so their count follows the CPUs, not the (often 1) input blocks
+    P = partitions()
 
     @ray.remote
     def to_edges(t: pa.Table) -> pa.Table:

@@ -327,14 +327,6 @@ def session_windows(sf_dir: str, gap_minutes: int = 30,
                          columns=["event_id", "user_id", "ts", "value"])
     gap = np.timedelta64(gap_minutes * 60, "s")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        # multiplicative mixing so sequential user_ids spread evenly
-        b = (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(64 - int(num_buckets).bit_length() + 1))
-        return t.append_column(
-            "user_bucket", pa.array((b % np.uint64(num_buckets)).astype(np.int64)))
-
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
         new_user = g["user_id"].ne(g["user_id"].shift())
@@ -350,21 +342,13 @@ def session_windows(sf_dir: str, gap_minutes: int = 30,
 
     # hash-partitioned exchange on user_id (all of a user's events land
     # in one partition; sessionize_bucket is key-mix-safe) instead of
-    # groupby(bucket).map_groups — drops the sort-shuffle operator, same
-    # semantics (the bucket column only existed to bound group count)
-    marked = ds.map_batches(add_bucket, batch_format="pyarrow",
-                            batch_size=65536, zero_copy_batch=True)
-    refs = block_refs(marked)
-    if not refs:
-        df = (marked.groupby("user_bucket")
-              .map_groups(sessionize_bucket, batch_format="pandas")
-              .to_pandas())
-    else:
-        out_refs = exchange(refs, "user_id", _sessionize_task,
-                            sessionize_bucket,
-                            P=partitions(len(refs), limit=num_buckets))
-        df = pd.concat([t.to_pandas() for t in ray.get(out_refs)],
-                       ignore_index=True)
+    # groupby(bucket).map_groups — no sort-shuffle operator. An empty
+    # input rides through as one typed empty block.
+    refs = block_refs(ds) or [ray.put(ds.schema().base_schema.empty_table())]
+    out_refs = exchange(refs, "user_id", _sessionize_task, sessionize_bucket,
+                        P=partitions(len(refs), limit=num_buckets))
+    df = pd.concat([t.to_pandas() for t in ray.get(out_refs)],
+                   ignore_index=True)
     df["n_events"] = df["n_events"].astype("int64")
     df["total_value"] = round_half_up(df["total_value"], 6)
     return df.sort_values(["user_id", "session_start"]).reset_index(drop=True)
@@ -404,15 +388,16 @@ def asof_join(
 
     Ray shape (composition (a) of the custom-operator ladder): map both
     sides onto ONE superset schema (missing columns as typed nulls, a
-    ``__side`` tag, unified ``__key``/``__t``), union them, hash the key
-    into ``num_buckets`` partitions, and resolve each bucket with a
-    vectorized sorted merge (``pd.merge_asof`` per bucket — NOT per
-    key: group count stays ``num_buckets``).
+    ``__side`` tag, unified ``__key``/``__t``), union them, hash-partition
+    on the key through the shared exchange (at most ``num_buckets``
+    partitions), and resolve each partition with a vectorized sorted
+    merge (``pd.merge_asof(by=key)`` per partition — NOT per key: task
+    count stays ≤ ``num_buckets``).
 
     Partitioning assumption (100 TB): ALL rows of one key must land in
-    one bucket — an as-of key can't be salted because its timeline must
-    be scanned together. Per-bucket memory is bounded by scaling
-    ``num_buckets`` with the data (buckets shrink linearly); the hot-key
+    one partition — an as-of key can't be salted because its timeline must
+    be scanned together. Per-partition memory is bounded by scaling
+    ``num_buckets`` with the data (partitions shrink linearly); the hot-key
     bound is the largest single key's row count. For keys that outgrow a
     worker, range-partition by (key, time) and broadcast each leading
     partition's last right row instead.
@@ -459,10 +444,7 @@ def asof_join(
                     cols.append(t[name])
                 else:
                     cols.append(pa.nulls(n, type=uni_types[name]))
-            u = pa.table(dict(zip(uni_names, cols)))
-            k = u["__key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = (k * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)
-            return u.append_column("__bucket", pa.array(b.astype(np.int64)))
+            return pa.table(dict(zip(uni_names, cols)))
 
         return fn
 
@@ -502,18 +484,14 @@ def asof_join(
         return _uni_out(out, left_by, left_on, l_payload, payload_r)
 
     # finalize through the hash-partitioned exchange (one merge task per
-    # partition; a partition may hold MANY buckets — merge_asof(by=key)
-    # resolves any key mix, the bucket hash only bounds per-task memory)
-    # instead of groupby("__bucket").map_groups: the sort-based groupby
-    # exchange cost ~0.3 s fixed on this tiny-row all-to-all. Empty
-    # partitions are dropped via the rows-count return so pandas dtype
-    # promotion (how="left" nullable ints -> float) stays consistent
-    # across surviving blocks, matching the map_groups behavior of only
-    # materializing non-empty groups.
-    refs = block_refs(uni)
-    if not refs:                                 # blockless input
-        return uni.groupby("__bucket").map_groups(
-            merge_bucket, batch_format="pandas")
+    # partition; a partition may hold MANY keys — merge_asof(by=key)
+    # resolves any key mix) instead of groupby(bucket).map_groups: the
+    # sort-based groupby exchange cost ~0.3 s fixed on this tiny-row
+    # all-to-all. Empty partitions are dropped via the rows-count return
+    # so pandas dtype promotion (how="left" nullable ints -> float) stays
+    # consistent across surviving blocks. An empty input rides through
+    # as one typed empty block.
+    refs = block_refs(uni) or [ray.put(pa.schema(uni_fields).empty_table())]
     P = partitions(len(refs), limit=num_buckets)
     splits = split_refs(refs, "__key", P)
     out_refs = [

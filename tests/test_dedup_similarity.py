@@ -310,6 +310,12 @@ def test_dup_clusters_modes_identical(ray_session):
     empty = pa.table({"id_a": pa.array([], type=pa.string()),
                       "id_b": pa.array([], type=pa.string())})
     assert dup_clusters(empty, mode="driver").num_rows == 0
+    # a pair Dataset whose every block is empty (no near-dups kept) has
+    # no block to exchange: still a typed empty result in every mode
+    for m in ("auto", "driver", "partitioned"):
+        out = dup_clusters(rd.from_arrow(empty), mode=m)
+        assert out.num_rows == 0
+        assert out.schema.types == [pa.string(), pa.string()]
 
 
 def test_hamming_neardup_exact_vs_bruteforce(ray_session):

@@ -167,3 +167,56 @@ def test_no_private_names_cross_modules():
                 if bad:
                     offenders.append((os.path.relpath(path, PKG), bad))
     assert offenders == []
+
+
+def _arrow(ds) -> pa.Table:
+    import ray
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def test_empty_inputs_stay_typed(ray_session, tmp_path):
+    """block_refs skips known-empty blocks, so a zero-row input reaches
+    an exchange with no block at all; each op still returns its typed
+    empty result."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from dataquality_cli_ray.pipelines.corpus_ops import (
+        dedup_lines, remove_duplicate_spans)
+    from dataquality_cli_ray.pipelines.relational import (
+        asof_join, session_windows)
+
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                   "text": pa.array([], pa.string())}))
+    spans = _arrow(remove_duplicate_spans(docs, "text", "doc_id", n=5))
+    assert spans.num_rows == 0
+    assert spans.schema.names == ["doc_id", "clean_text", "n_words",
+                                  "n_removed"]
+    lines = _arrow(dedup_lines(docs, "text", "doc_id"))
+    assert lines.num_rows == 0
+    assert lines.schema.names == ["doc_id", "clean_text", "n_lines",
+                                  "n_removed"]
+
+    ts = pa.timestamp("us")
+    left = rd.from_arrow(pa.table({"event_id": pa.array([], pa.int64()),
+                                   "user_id": pa.array([], pa.int64()),
+                                   "ts": pa.array([], ts)}))
+    right = rd.from_arrow(pa.table({"o_custkey": pa.array([], pa.int64()),
+                                    "o_orderdate": pa.array([], ts),
+                                    "o_orderkey": pa.array([], pa.int64())}))
+    for how in ("inner", "left"):
+        out = _arrow(asof_join(left, right, "ts", "o_orderdate", "user_id",
+                               "o_custkey", ["o_orderkey"], how=how))
+        assert out.num_rows == 0
+        assert out.schema.names == ["user_id", "ts", "event_id",
+                                    "o_orderkey"]
+
+    pq.write_table(pa.table({"event_id": pa.array([], pa.int64()),
+                             "user_id": pa.array([], pa.int64()),
+                             "ts": pa.array([], ts),
+                             "value": pa.array([], pa.float64())}),
+                   tmp_path / "events.parquet")
+    sess = session_windows(str(tmp_path))
+    assert len(sess) == 0
+    assert list(sess.columns) == ["user_id", "session_start", "n_events",
+                                  "total_value"]

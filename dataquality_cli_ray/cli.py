@@ -12,13 +12,14 @@ The CLI owns the Ray session (guarded init per the driver contract);
 library code never calls ray.init.
 
 ``quality`` reads the flagship's input files (``.parquet`` only, ``.``/
-``_`` names skipped), resolves the dup map over all of them, then runs
-the flagship's fused plan ONCE over every file of every unpublished
-shard: each file's task reads, labels and writes its part under
-``shard=<i>.tmp/``, and this process publishes each shard (manifest +
-atomic rename) as soon as all its files have reported
-(``state.checkpoint.run_resumable``). ``--shard-size`` sets the resume
-unit, not the execution.
+``_`` names skipped) and runs the flagship's own plan
+(``images_quality_pipeline(..., pending=...)``: the dup map over all
+input files, the read over the files of every unpublished shard) ONCE:
+each work unit's task reads its row groups, labels them and writes one
+part per input file under that file's ``shard=<i>.tmp/``, and this
+process publishes each shard (manifest + atomic rename) as soon as all
+its files have reported (``state.checkpoint.run_resumable``).
+``--shard-size`` sets the resume unit, not the execution.
 
 Report layout mirrors the reference renderer: summary →
 per-file/table section → detailed per-column stats
@@ -150,7 +151,7 @@ def cmd_quality(args) -> int:
     _ray_session(args.num_cpus)
 
     from .pipelines import quality as Q
-    from .sources.readers import parquet_files, read_parquet_fast
+    from .sources.readers import parquet_files
     from .state import checkpoint as CK
     from .stages.rules import QualityConfig
 
@@ -164,23 +165,14 @@ def cmd_quality(args) -> int:
                         max_aspect=args.max_aspect,
                         min_contrast=args.min_contrast)
     langid_model, ppl_model = Q.build_models()
-    # dedup decision over ALL inputs (cross-shard correctness), pruned
-    # scan; auto-switches in-process merge -> partitioned task reduce on
-    # size
-    dup_map = Q.phash_dup_losers(files, cfg.dedup_key, cfg.id_col)
-
-    def pipeline(pending):
-        # one block per file, so each read task fuses with the kernels
-        # and the shard write; `path` routes each row to its shard
-        ds = read_parquet_fast(pending, override_num_blocks=len(pending),
-                               include_paths=True)
-        return Q.quality_pipeline(ds, dup_map, cfg,
-                                  langid_model=langid_model,
-                                  ppl_model=ppl_model)
-
-    res = CK.run_resumable(files, args.output, pipeline,
-                           shard_size=args.shard_size,
-                           lineage_fn=CK.drop_reason_lineage)
+    # the flagship's plan over the pending files; its dup map covers ALL
+    # inputs (cross-shard correctness)
+    res = CK.run_resumable(
+        files, args.output,
+        lambda pending: Q.images_quality_pipeline(
+            files, cfg, langid_model=langid_model, ppl_model=ppl_model,
+            pending=pending),
+        shard_size=args.shard_size, lineage_fn=CK.drop_reason_lineage)
     print(res)
     return 0
 

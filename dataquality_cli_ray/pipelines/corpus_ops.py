@@ -38,7 +38,8 @@ from ..functions.rounding import round_half_up
 from ..functions.wordgrams import (
     hash_spans, lower_filled, spans_to_strings, word_bounds,
     word_ngram_hashes_batch, word_ngram_spans_batch)
-from .exchange import block_refs, exchange, partitions, split_refs
+from .exchange import (
+    block_refs, column_type, exchange, partitions, split_refs)
 
 logger = logging.getLogger(__name__)
 
@@ -187,10 +188,8 @@ def cap_per_key(
     if refs:
         out = ray.get(refs[0])
     else:  # empty input: derive types from the schema, don't hardcode
-        sch = ds.schema().base_schema
-        out = pa.table(
-            {key_col: pa.array([], type=sch.field(key_col).type),
-             id_col: pa.array([], type=sch.field(id_col).type)})
+        out = pa.table({c: pa.array([], column_type(ds, c))
+                        for c in (key_col, id_col)})
     if isinstance(out, (pa.RecordBatch,)):
         out = pa.Table.from_batches([out])
     return _cap_partial(out, key_col, id_col, k, caps)
@@ -220,10 +219,8 @@ def cap_per_key_dataset(
         # Derive the empty result's types from the input schema so an
         # int key / string id round-trips (hardcoded string/int64 broke
         # downstream concat / semi_join_filter on empty inputs).
-        sch = ds.schema().base_schema
-        return rd.from_arrow(pa.table(
-            {key_col: pa.array([], type=sch.field(key_col).type),
-             id_col: pa.array([], type=sch.field(id_col).type)}))
+        return rd.from_arrow(pa.table({c: pa.array([], column_type(ds, c))
+                                       for c in (key_col, id_col)}))
     return rd.from_arrow_refs(exchange(refs, key_col, _cap_combine,
                                        key_col, id_col, k, caps_ref))
 

@@ -81,7 +81,8 @@ from ..functions.hashing import (
     simhash64_batch,
     stable_hash64_array,
 )
-from .exchange import block_refs, exchange, partitions, split, split_refs
+from .exchange import (
+    block_refs, column_type, exchange, partitions, split, split_refs)
 
 # ---------------------------------------------------------------- exact
 
@@ -219,15 +220,20 @@ _pair_dedup_task = ray.remote(_pair_dedup_local)
 
 def _bucket_pair_exchange(exploded: "rd.Dataset", key_col: str,
                           partition_merge, merge_args: tuple,
-                          val_col: str, how: str) -> "rd.Dataset":
+                          val_col: str, how: str,
+                          ds: "rd.Dataset", id_col: str) -> "rd.Dataset":
     """Run the full explode → bucket-pairs → pair-dedup reduction; see
     the block comment above. ``partition_merge`` is the per-partition
-    remote task producing a (id_a, id_b, val_col) pair table."""
+    remote task producing a (id_a, id_b, val_col) pair table. An empty
+    ``exploded`` has no schema, so the empty pair table takes its id
+    type from ``ds[id_col]``."""
     refs = block_refs(exploded)
     if not refs:
-        id_type = exploded.schema().field("doc_id").type
+        id_type = column_type(ds, id_col)
         val_type = pa.float64() if how == "max" else pa.int64()
-        return rd.from_arrow(_pairs_to_table([], id_type, val_col, val_type))
+        return rd.from_arrow(pa.table({
+            "id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
+            val_col: pa.array([], val_type)}))
     pair_refs = exchange(refs, key_col, partition_merge, *merge_args)
     # pairs ≪ exploded rows: a narrower second exchange is plenty (no
     # wider than the first, at most 8)
@@ -570,7 +576,7 @@ def minhash_lsh_pairs(
     )
     return _bucket_pair_exchange(
         exploded, "band_key", _minhash_partition_task,
-        (threshold, max_bucket), "est_jaccard", "max")
+        (threshold, max_bucket), "est_jaccard", "max", ds, id_col)
 
 
 def verify_pairs_exact_jaccard(
@@ -781,7 +787,7 @@ def simhash_pairs(
     )
     return _bucket_pair_exchange(
         exploded, "block_key", _simhash_partition_task,
-        (max_hamming, max_bucket), "hamming", "min")
+        (max_hamming, max_bucket), "hamming", "min", ds, id_col)
 
 
 def hamming_neardup_pairs(
@@ -831,7 +837,7 @@ def hamming_neardup_pairs(
     )
     return _bucket_pair_exchange(
         exploded, "block_key", _simhash_partition_task,
-        (max_hamming, max_bucket), "hamming", "min")
+        (max_hamming, max_bucket), "hamming", "min", ds, id_col)
 
 
 # ---------------------------------------------------- embedding cosine
@@ -1110,14 +1116,17 @@ def build_dedup_index(
     atomic parquet file per partition plus a Bloom sidecar
     (``bloom_fpr`` ≤ 0 disables it) that lets incremental queries
     skip partitions with zero possible hits. Returns the distinct
-    count."""
+    count. An empty corpus writes the layout's ``part=N`` dirs with no
+    files, an index that holds no hash."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     refs = _hash_id_pairs(ds, text_col, id_col)
-    if not refs:
-        return 0
     P = n_partitions
+    if not refs:
+        for p in range(P):
+            os.makedirs(os.path.join(out_dir, f"part={p}"), exist_ok=True)
+        return 0
     splits = split_refs(refs, "text_hash", P)
     counts = ray.get([
         _index_write_part.remote(p, out_dir, id_col, bloom_fpr,
@@ -1143,7 +1152,7 @@ def dedup_against_index(
     refs = _hash_id_pairs(ds, text_col, id_col)
     if not refs:
         return rd.from_arrow(
-            pa.table({id_col: pa.array([], type=pa.int64())}))
+            pa.table({id_col: pa.array([], column_type(ds, id_col))}))
     splits = split_refs(refs, "text_hash", P)
     out_refs = [
         _incr_filter_part.remote(p, index_dir, id_col,
@@ -1231,6 +1240,9 @@ def semdedup(
 
     C = ivf_centroids(ds, n_clusters, iters=iters, vec_col=vec_col,
                       id_col=id_col)
+    if len(C) == 0:                                 # no rows
+        return rd.from_arrow(
+            pa.table({id_col: pa.array([], column_type(ds, id_col))}))
     cref = ray.put(C)
 
     def add_cell(batch: pa.Table) -> pa.Table:
@@ -1245,8 +1257,6 @@ def semdedup(
     keyed = ds.select_columns([id_col, vec_col]).map_batches(
         add_cell, batch_format="pyarrow", batch_size=4096)
     refs = block_refs(keyed)
-    if not refs:
-        return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64())}))
     out_refs = exchange(refs, "sem_cell", _sem_partition_task,
                         vec_col, id_col, threshold, max_bucket,
                         P=partitions(len(refs), limit=n_clusters))

@@ -9,7 +9,9 @@ decision that exchange makes, so the operators cannot drift apart:
 
 - the cluster width (:func:`cluster_cpus`);
 - the block refs of an executed Dataset (:func:`block_refs`, the one
-  use of Ray's private ``iter_internal_ref_bundles``);
+  use of Ray's private ``iter_internal_ref_bundles``), and the column
+  types of the typed empty result when there are none
+  (:func:`column_type`);
 - the partition of a key (:func:`partition_ids`);
 - the split of a table (:func:`split`) and the split fan-out
   (:func:`split_refs`, :func:`group_size`);
@@ -59,6 +61,15 @@ def block_refs(ds: "rd.Dataset") -> list:
         return ds.to_arrow_refs()
     return [ref for b in bundles for ref, meta in b.blocks
             if meta.num_rows is None or meta.num_rows > 0]
+
+
+def column_type(ds: "rd.Dataset", col: str) -> pa.DataType:
+    """``col``'s type in ``ds``'s schema, for the typed empty result of
+    an op whose input has no non-empty block. Ray knows no schema for a
+    Dataset whose every block a row-function ``filter`` emptied; the
+    column is typed null then."""
+    schema = ds.schema()
+    return pa.null() if schema is None else schema.base_schema.field(col).type
 
 
 def partition_ids(col: "pa.ChunkedArray | pa.Array", P: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 over image+caption tables (BASELINE.json north rule).
 
 Stage graph (all lazy, streaming, backpressured; Ray fuses it into ONE
-operator, one task per input file):
+operator, one task per work unit of ~total rows / (2 × CPUs) rows):
 
-    read_parquet (one block per file)           source tasks
+    read units (row groups, from footers)       source tasks
       → QualityFusedStage                       rules → decode → drop bytes
                                                 → langid → perplexity → scrub
                                                 (tasks w/ per-worker model
@@ -474,9 +474,9 @@ def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref, cfg) -> pa.Table:
         _mark_dup(batch, *lookup, cfg.dedup_key, cfg.id_col))
     # column selection folded in: a trailing select_columns would be
     # another operator, and every operator dilutes the fused op's share
-    # under the executor's per-op resource reservation. A read with
-    # include_paths=True keeps its ``path`` column (the CLI's in-task
-    # shard write routes rows by it).
+    # under the executor's per-op resource reservation. A read's
+    # ``path`` column is kept (the CLI's in-task shard write routes rows
+    # by it).
     cols = _out_cols(cfg)
     if "path" in out.column_names:
         cols.append("path")
@@ -521,6 +521,7 @@ def images_quality_pipeline(
     dedup_mode: str = "staged",
     langid_model: dict | None = None,
     ppl_model: dict | None = None,
+    pending: list[str] | None = None,
 ) -> "rd.Dataset":
     """End-to-end over a parquet images table: the dup pre-pass runs
     FIRST (it scans only (phash, image_id); see
@@ -536,36 +537,31 @@ def images_quality_pipeline(
     1.45 s at 65,536 rows / 4 CPUs. Marking by a hash-partitioned join:
     6.36 vs 0.25 s at 8,192 rows / 4 CPUs, and no finish at 1 CPU.
 
-    Read strategy: ``override_num_blocks`` = the FILE COUNT. Ray's
-    default asks for at least ``read_op_min_num_blocks`` (200) blocks,
-    so below 200 files it plans ``ReadParquet->SplitBlocks(k)``, and
-    Ray never fuses a split read with the maps after it: the encoded
-    image bytes then cross the object store and the kernels run as a
-    second operator on 1/k-file batches (measured 2.1 s vs 0.83 s for
-    8 files / 8,192 rows on 1 CPU). One block per file keeps the read
-    fusable; only a count ABOVE the file count inserts SplitBlocks.
-    Fused, the encoded image bytes NEVER enter the object store: each
-    read task decodes parquet and runs rules/decode/langid/ppl/scrub in
-    place, emitting only the small label columns. Task granularity is
-    per-FILE, so inputs should be written with bounded file sizes (the
-    fixture writes 8k-row files); ``target_max_block_size`` is capped
-    so Ray size-splits a large file's output inside its read task,
-    bounding per-task transient memory. Lance inputs (no file count)
-    keep Ray's default. Both reads take the ``.parquet`` file list the
-    footer probe walked, so a stray non-parquet file in the input
-    directory is skipped, not read."""
+    A parquet input is read in work units planned from its footers
+    (:func:`~..sources.readers.read_parquet_units`): about two per CPU,
+    large files split at row-group boundaries and small files packed
+    together, so neither the file count nor one large file sets the
+    task count. Both reads take the ``.parquet`` file list the footer
+    probe walked, so a stray non-parquet file in the input directory is
+    skipped, not read. A Lance input keeps Ray's reader.
+
+    ``pending`` (a subset of the input's files) makes the plan read only
+    those files and adds a ``path`` column naming each row's file, while
+    the dup map still covers every file of ``input_path``: the quality
+    CLI's resumable run (``state.checkpoint.run_resumable``) routes rows
+    to their shards by it."""
     if dedup_mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
     cfg = cfg or QualityConfig()
-    from ..sources.readers import read_table, table_rows
+    from ..sources.readers import read_parquet_units, read_table, table_rows
 
     # Two context settings scoped to this plan. Ray snapshots the
     # DataContext when the read Dataset is created, so they are set
-    # before read_table and restored once the plan is assembled:
-    # - a 32 MiB block-size cap (≈ 13k encoded images) bounds a fused
-    #   read task's in-flight decode buffers even on inputs with huge
-    #   row groups;
+    # before the read and restored once the plan is assembled:
+    # - a 32 MiB block-size cap: Ray's output buffer concatenates a
+    #   unit's pieces into blocks up to this size before the kernels
+    #   see them, so it bounds a task's in-flight decode buffers;
     # - the streaming executor's per-op resource reservation is off: the
     #   plan is ONE operator, so the reservation buys nothing, yet it
     #   still withholds slots (measured 25.7 → 22.3 s at 25.6 M rows /
@@ -575,14 +571,19 @@ def images_quality_pipeline(
     ctx.target_max_block_size = min(prev[0] or (128 << 20), 32 << 20)
     ctx.op_resource_reservation_enabled = False
     try:
-        # the probe also seeds the footer cache the reads plan from
+        # the probe also seeds the footer cache the read plans from
         _, files = table_rows(input_path)
-        src = files or input_path          # lance: no file list
-        # one block per file: the per-file read task then fuses with the
-        # kernel chain (lance keeps Ray's default)
-        ds = read_table(src, override_num_blocks=len(files) if files
-                        else None)
-        dup_map = phash_dup_losers(src, cfg.dedup_key, cfg.id_col)
+        if files is not None:
+            ds = read_parquet_units(files if pending is None else pending,
+                                    cluster_cpus(),
+                                    with_path=pending is not None)
+        elif pending is None:
+            ds = read_table(input_path)          # lance: no file list
+        else:
+            raise ValueError(f"pending= needs a parquet input; "
+                             f"{input_path!r} has no file list")
+        dup_map = phash_dup_losers(files or input_path, cfg.dedup_key,
+                                   cfg.id_col)
         return quality_pipeline(ds, dup_map, cfg, langid_model, ppl_model)
     finally:
         ctx.target_max_block_size, ctx.op_resource_reservation_enabled = prev

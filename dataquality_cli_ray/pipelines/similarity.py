@@ -275,6 +275,8 @@ def ivf_centroids(
         if b.num_rows:
             ids_l.append(b[id_col].to_numpy(zero_copy_only=False))
             vec_l.append(list_col_to_matrix(b[vec_col]))
+    if not ids_l:                                   # no rows, no cells
+        return np.empty((0, 0))
     ids = np.concatenate(ids_l)
     order = np.argsort(ids, kind="stable")[:n_cells]
     C = np.vstack(vec_l)[order].astype(np.float64)

@@ -4,11 +4,12 @@ records").
 
 Model: the input file list is split into SHARDS (deterministic order —
 the unit of resume), but a run is ONE Ray Data execution over every
-pending input file. The plan's last step runs inside each file's task:
-it writes the task's rows as a part file under ``out_root/shard=<i>.tmp/``
-and returns one small ``(path, part, rows)`` row. The caller streams
-those rows; once every file of shard *i* has reported its footer row
-count, the shard is published: unreported parts (a retried task's
+pending input file. The plan's last step runs inside each read task,
+whose work unit may cover part of a file or several files: it writes
+the task's rows as one part file per input file under that file's
+``out_root/shard=<i>.tmp/`` and returns one small ``(path, part, rows)``
+row per part. The caller streams those rows; once every file of shard
+*i* has reported its footer row count, the shard is published: unreported parts (a retried task's
 orphan) are deleted, ``manifest.json`` (input fragments, rows in/out,
 per-rule hit counters) is written, then the dir is renamed into place.
 A rerun skips every shard whose manifest lists the same input
@@ -72,7 +73,7 @@ def _manifest_matches(out_root: str, idx: int, shard_files_: list[str]) -> bool:
 
 
 def _write_parts(batch: pa.Table, *, tmp_dirs: dict) -> pa.Table:
-    """The plan's last step, run inside each input file's task: write the
+    """The plan's last step, run inside each read task: write the
     block's rows (minus ``path``) as one part per input file under that
     file's ``shard=<i>.tmp`` dir, and return one ``(path, part, rows)``
     row per part. A part is written under a dot-prefixed name, then
@@ -98,7 +99,7 @@ def _write_parts(batch: pa.Table, *, tmp_dirs: dict) -> pa.Table:
 
 def _with_write_step(ds, tmp_dirs: dict):
     """``ds`` with :func:`_write_parts` appended as a whole-block step,
-    so it fuses into the same per-file task as the steps before it."""
+    so it fuses into the same read task as the steps before it."""
     return ds.map_batches(_write_parts, fn_kwargs={"tmp_dirs": tmp_dirs},
                           batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
@@ -117,8 +118,10 @@ def run_resumable(
     same input fragments.
 
     The Dataset's rows must carry a ``path`` column naming their input
-    parquet file (a read with ``include_paths=True``); it routes each
-    row to its file's shard and is not written. A shard publishes as
+    parquet file (``quality.images_quality_pipeline(..., pending=...)``,
+    or a read with ``include_paths=True``); it routes each row to its
+    file's shard and is not written. A task may report several parts of
+    one file (a file split into several work units or blocks). A shard publishes as
     soon as its files have reported as many rows as their footers hold
     (a pipeline that labels every row, like the quality pipeline) —
     more raises ``ValueError`` — and any shard still open when the

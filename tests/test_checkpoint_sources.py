@@ -326,6 +326,46 @@ def test_resume_after_worker_killed_after_part_write(ray_session, input_files,
     assert got.equals(clean[0]) and manifests == clean[1]
 
 
+def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
+                                                      input_files, tmp_path,
+                                                      monkeypatch):
+    """One work unit covers all six files (60 rows, below UNIT_MIN_ROWS).
+    Its worker dies after the first file's part is written: Ray retries
+    the whole unit, the retry writes fresh parts for every file, and
+    publishing deletes the part no task reported. The published output
+    equals a clean run, with no orphan part."""
+    import pyarrow.compute as pc
+
+    from dataquality_cli_ray.sources.readers import read_parquet_units
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    _run(input_files, str(tmp_path / "clean"))
+    clean = _published(str(tmp_path / "clean"))
+    marker = str(tmp_path / "killed")
+    real = CK._write_parts
+
+    def write_first_file_then_die(batch, *, tmp_dirs):
+        paths = pc.unique(batch["path"]).to_pylist()
+        if len(paths) > 1 and not os.path.exists(marker):
+            real(batch.filter(pc.equal(batch["path"], paths[0])),
+                 tmp_dirs=tmp_dirs)
+            with open(marker, "w") as f:
+                json.dump(paths, f)
+            os._exit(1)
+        return real(batch, tmp_dirs=tmp_dirs)
+
+    monkeypatch.setattr(CK, "_write_parts", write_first_file_then_die)
+    out_root = str(tmp_path / "out")
+    r = run_resumable(input_files, out_root,
+                      lambda p: read_parquet_units(p, 4, with_path=True),
+                      shard_size=2, lineage_fn=drop_reason_lineage)
+    assert r["shards_run"] == 3
+    with open(marker) as f:
+        assert json.load(f) == input_files
+    got, manifests = _published(out_root)
+    assert got.equals(clean[0]) and manifests == clean[1]
+
+
 def test_resume_after_truncated_manifest(ray_session, input_files, tmp_path):
     """A truncated manifest.json makes only that shard re-run."""
     out_root = str(tmp_path / "out")

@@ -731,6 +731,13 @@ def test_cap_per_key_empty_input_preserves_schema(ray_session):
     assert got_ds.count() == 0
     assert sch.field("k").type == pa.int32()
     assert sch.field("i").type == pa.string()
+    # filtered to zero rows by a row function: Ray knows no schema, so
+    # the columns are typed null (an AttributeError before)
+    gone = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int32()),
+                                   "i": ["a", "b"]})).filter(lambda r: False)
+    got = cap_per_key(gone, "k", "i", 2)
+    assert got.num_rows == 0 and got.column_names == ["k", "i"]
+    assert cap_per_key_dataset(gone, "k", "i", 2).count() == 0
 
 
 def test_dedup_lines_keep_first_semantics(ray_session):

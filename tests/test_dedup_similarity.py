@@ -400,6 +400,20 @@ def test_incremental_dedup_against_index(ray_session, tmp_path):
     kept2 = dedup_against_index(new, idx2, "text", "doc_id").to_pandas()
     assert sorted(kept2["doc_id"].tolist()) == sorted(kept["doc_id"].tolist())
 
+    # an empty history (typed, or filtered to zero rows by a row
+    # function) builds an empty but valid layout, which keeps every new
+    # document; an empty new batch keeps none
+    fresh = docs.filter(expr="doc_id < 20")
+    for i, empty in enumerate((docs.filter(expr="doc_id < 0"),
+                               docs.filter(lambda r: False))):
+        d = str(tmp_path / f"idx_empty{i}")
+        assert build_dedup_index(empty, "text", "doc_id", d,
+                                 n_partitions=4) == 0
+        kept = dedup_against_index(fresh, d, "text", "doc_id").to_pandas()
+        assert sorted(kept["doc_id"].tolist()) == list(range(20))
+        assert dedup_against_index(empty, idx_dir, "text",
+                                   "doc_id").count() == 0
+
 
 def test_bloom_kernel_membership():
     from dataquality_cli_ray.functions.bloom import (
@@ -444,6 +458,34 @@ def test_semdedup_planted_dups(ray_session):
                         "embedding", "vec_id", n_clusters=8,
                         threshold=0.95).to_pandas()
     assert sorted(kept2["vec_id"]) == sorted(kept["vec_id"])
+
+
+def test_near_dup_finders_empty_corpus(ray_session):
+    """minhash_lsh_pairs, simhash_pairs and semdedup over an empty
+    corpus return a typed empty result: the id type is the input's, or
+    null when Ray knows no schema (a corpus filtered to zero rows by a
+    row function)."""
+    docs = pa.Table.from_pandas(_near_dup_corpus(n_base=4),
+                                preserve_index=False)
+    vecs = pa.table({"vec_id": pa.array([0, 1], pa.int64()),
+                     "embedding": [[1.0, 0.0], [0.0, 1.0]]})
+    assert docs.schema.field("doc_id").type == pa.int64()
+    for empty, id_type in (
+            (lambda t: rd_mod.from_arrow(t.slice(0, 0)), pa.int64()),
+            (lambda t: rd_mod.from_arrow(t).filter(lambda r: False),
+             pa.null())):
+        for pairs, val in (
+                (DD.minhash_lsh_pairs(empty(docs), "text", "doc_id"),
+                 "est_jaccard"),
+                (DD.simhash_pairs(empty(docs), "text", "doc_id"),
+                 "hamming")):
+            sch = pairs.schema().base_schema
+            assert pairs.count() == 0
+            assert sch.names == ["id_a", "id_b", val]
+            assert sch.field("id_a").type == id_type
+        kept = DD.semdedup(empty(vecs), "embedding", "vec_id", n_clusters=2)
+        assert kept.count() == 0
+        assert kept.schema().base_schema.field("vec_id").type == id_type
 
 
 def test_semdedup_domination_rule(ray_session):

@@ -226,7 +226,7 @@ def test_pipeline_metrics_from_stats(ray_session, images_path, models):
     assert max(r["rows_out"] for r in measured.values()) >= n > 0
 
 
-FUSED_OP = ("ReadParquet->MapBatches(_fused_task_fn)"
+FUSED_OP = ("MapBatches(_read_units)->MapBatches(_fused_task_fn)"
             "->MapBatches(_mark_finalize_task_fn)")
 
 
@@ -252,10 +252,11 @@ def multi_file_images(images_path, tmp_path_factory):
 
 def test_staged_plan_is_one_fused_operator(ray_session, models,
                                            multi_file_images):
-    """One read task per file fuses with the kernel chain: the executed
-    staged plan is ONE operator, with no SplitBlocks. The plan's block
-    size cap and reservation switch live in the plan's own context; the
-    process-wide context is left as it was."""
+    """The work-unit read fuses with the kernel chain: after the
+    ``FromItems`` input of the planned units, the executed staged plan
+    is ONE operator, with no ReadParquet and no SplitBlocks. The plan's
+    block size cap and reservation switch live in the plan's own
+    context; the process-wide context is left as it was."""
     import ray.data as rd
 
     lm, pm = models
@@ -274,7 +275,7 @@ def test_staged_plan_is_one_fused_operator(ray_session, models,
     assert ds.context.op_resource_reservation_enabled is False
     n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
     assert n == 600
-    assert _executed_ops(ds) == [FUSED_OP]
+    assert _executed_ops(ds) == ["FromItems", FUSED_OP]
 
 
 def _cmd_quality(input_dir: str, out_dir: str, shard_size: int) -> None:
@@ -293,7 +294,8 @@ def test_cli_shard_plan_is_one_fused_operator(ray_session,
                                               tmp_path, monkeypatch, capsys):
     """A cmd_quality run over 4 files in 2 shards builds ONE plan over
     all 4 files, and it executes as one fused operator that ends in the
-    in-task shard write; ``lineage --per-shard`` prints rows in/out."""
+    in-task shard write, with the flagship's scoped context (reservation
+    off); ``lineage --per-shard`` prints rows in/out."""
     from argparse import Namespace
 
     from dataquality_cli_ray import cli
@@ -320,7 +322,9 @@ def test_cli_shard_plan_is_one_fused_operator(ray_session,
     files = sorted(str(p) for p in pathlib.Path(multi_file_images).iterdir())
     assert plans == [files]
     assert len(written) == 1
-    assert _executed_ops(written[0]) == [FUSED_OP + "->MapBatches(_write_parts)"]
+    assert written[0].context.op_resource_reservation_enabled is False
+    assert _executed_ops(written[0]) == [
+        "FromItems", FUSED_OP + "->MapBatches(_write_parts)"]
     assert sorted(os.listdir(out)) == ["shard=0", "shard=1"]
     n = sum(pq.read_metadata(str(p)).num_rows for p in out.glob("*/*.parquet"))
     assert n == 600

@@ -164,14 +164,14 @@ def cmd_quality(args) -> int:
                         min_image_px=args.min_image_px,
                         max_aspect=args.max_aspect,
                         min_contrast=args.min_contrast)
-    langid_model, ppl_model = Q.build_models()
     # the flagship's plan over the pending files; its dup map covers ALL
-    # inputs (cross-shard correctness)
+    # inputs (cross-shard correctness). The plan builds the seeded
+    # models itself, and run_resumable calls it only when a shard is
+    # pending, so a rerun over published shards trains no model.
     res = CK.run_resumable(
         files, args.output,
-        lambda pending: Q.images_quality_pipeline(
-            files, cfg, langid_model=langid_model, ppl_model=ppl_model,
-            pending=pending),
+        lambda pending: Q.images_quality_pipeline(files, cfg,
+                                                  pending=pending),
         shard_size=args.shard_size, lineage_fn=CK.drop_reason_lineage)
     print(res)
     return 0

@@ -87,15 +87,18 @@ CLUSTER_FRAC = 0.05
 
 def seed_corpus(n_per_lang: int = 300, seed: int = SEED) -> tuple[list[str], list[str]]:
     """Deterministic labeled training corpus for the langid / perplexity
-    models (built from the same vocabularies, disjoint rng stream)."""
+    models (built from the same vocabularies, disjoint rng stream).
+    Words are drawn as ``rng.integers(0, len(words), k)`` into a numpy
+    word array: the same stream as ``rng.choice(words, k)`` without
+    converting the word list on every draw."""
     texts, labels = [], []
     for li, lang in enumerate(LANGS):
         rng = np.random.default_rng([seed, 999_000_001, li])
-        words = VOCAB[lang]
+        words = np.asarray(VOCAB[lang], dtype=object)
         for _ in range(n_per_lang):
             k = int(rng.integers(6, 25))
-            texts.append(" ".join(rng.choice(words, k)))
-            labels.append(lang)
+            texts.append(" ".join(words[rng.integers(0, len(words), k)]))
+        labels += [lang] * n_per_lang
     return texts, labels
 
 

@@ -238,10 +238,11 @@ def ngram_count_matrix(texts: np.ndarray, n: int, dim: int, seed: int = 0) -> np
     """Hashed char-n-gram count matrix (len(texts) x dim), densified
     from :func:`ngram_hash_rows` by one ``np.bincount``.
 
-    The dense (m, dim) form is for MODEL BUILDING over small labeled
-    corpora; scoring paths must stay sparse (the dense matrix moves
-    dim x 8 bytes per row through memory — measured as the quality
-    pipeline's bandwidth bottleneck at 30 workers)."""
+    The dense (m, dim) form serves the straight-line golden oracle
+    (``fixtures.golden``) and tests only. Training and scoring stay
+    sparse: the dense matrix moves dim x 4 bytes per row through memory
+    (measured as the quality pipeline's bandwidth bottleneck at 30
+    workers)."""
     m = len(texts)
     out = np.zeros((m, dim), dtype=np.float32)
     if m == 0:

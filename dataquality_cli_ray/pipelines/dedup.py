@@ -476,9 +476,10 @@ def _cc_nrows(t: pa.Table) -> int:
 
 
 class MinHashStage:
-    """Actor-pool stage: text → 128-perm MinHash signature, exploded to
+    """Task stage: text → 128-perm MinHash signature, exploded to
     one row per LSH band: (band_key:uint64->int64, doc_id, sig:binary).
-    The MinHasher's permutation coefficients are built once per actor.
+    The MinHasher's permutation coefficients are built once per worker
+    process (the stage is held in ``_WORKER_CACHE``).
 
     Fully batched: shingling is one rolling-hash pass over the
     concatenated batch (char_shingle_hashes_batch), signatures are one
@@ -1024,7 +1025,6 @@ def _index_write_part(p: int, out_dir: str, id_col: str,
 
     from ..functions.bloom import bloom_build, bloom_params
 
-    t = pa.concat_tables(parts)
     d = os.path.join(out_dir, f"part={p}")
     # Drop any pre-existing sidecar BEFORE touching data.parquet: a Bloom
     # filter describing an older hash set gives false "definitely absent"
@@ -1033,10 +1033,16 @@ def _index_write_part(p: int, out_dir: str, id_col: str,
     bpath = os.path.join(d, "bloom.npz")
     if os.path.exists(bpath):
         os.remove(bpath)
-    if t.num_rows == 0:
-        return 0
-    out = _min_per_hash(t, id_col).rename_columns(["text_hash", "winner"])
     os.makedirs(d, exist_ok=True)
+    if not any(part.num_rows for part in parts):
+        # empty in this build (or the corpus is): an older build's
+        # hashes must not stay behind
+        dpath = os.path.join(d, "data.parquet")
+        if os.path.exists(dpath):
+            os.remove(dpath)
+        return 0
+    out = _min_per_hash(pa.concat_tables(parts), id_col).rename_columns(
+        ["text_hash", "winner"])
     tmp = os.path.join(d, ".data.parquet.tmp")
     pq.write_table(out, tmp)
     os.replace(tmp, os.path.join(d, "data.parquet"))
@@ -1116,18 +1122,23 @@ def build_dedup_index(
     atomic parquet file per partition plus a Bloom sidecar
     (``bloom_fpr`` ≤ 0 disables it) that lets incremental queries
     skip partitions with zero possible hits. Returns the distinct
-    count. An empty corpus writes the layout's ``part=N`` dirs with no
-    files, an index that holds no hash."""
+    count. A rebuild into the same directory leaves exactly the new
+    layout: partitions this corpus leaves empty lose their old files,
+    and ``part=N`` dirs with N ≥ ``n_partitions`` go. An empty corpus
+    leaves the layout's ``part=N`` dirs with no files, an index that
+    holds no hash."""
     import os
+    import shutil
 
     os.makedirs(out_dir, exist_ok=True)
-    refs = _hash_id_pairs(ds, text_col, id_col)
     P = n_partitions
-    if not refs:
-        for p in range(P):
-            os.makedirs(os.path.join(out_dir, f"part={p}"), exist_ok=True)
-        return 0
-    splits = split_refs(refs, "text_hash", P)
+    # stale partitions first: _index_layout reads P from the largest N
+    for d in os.listdir(out_dir):
+        if d.startswith("part=") and int(d.split("=", 1)[1]) >= P:
+            shutil.rmtree(os.path.join(out_dir, d))
+    # no blocks (an empty corpus): no split task, each write task gets
+    # no part
+    splits = split_refs(_hash_id_pairs(ds, text_col, id_col), "text_hash", P)
     counts = ray.get([
         _index_write_part.remote(p, out_dir, id_col, bloom_fpr,
                                  *[s[p] for s in splits])

@@ -1,9 +1,9 @@
-"""Multimodal (image / audio / video) stages — actor-pool
-``map_batches`` over opaque ``binary`` columns with typed metadata.
+"""Multimodal (image / audio / video) stages — ``map_batches`` task
+stages over opaque ``binary`` columns with typed metadata.
 
 The sandbox has no image/audio libraries, so the CODEC is the
 deterministic fake in ``functions/imagefake.py`` (clearly marked); the
-Ray-side plumbing — schema, batch sizing for wide binary rows, actor
+Ray-side plumbing — schema, batch sizing for wide binary rows, stage
 signature, error quarantine, output layout — is real and tested.
 
 Error quarantine mirrors the reference's per-file ``Error`` capture
@@ -30,10 +30,7 @@ from ..functions import imagefake as IF
 # faults + zeroing) per batch per shape group. SCRATCH_TARGET_BYTES
 # bounds the rows processed per inner iteration so the slab stays
 # cache-resident (see the kernel comment in DecodeImageStage).
-import os as _os
-
-SCRATCH_TARGET_BYTES = int(_os.environ.get("DQ_SCRATCH_TARGET_BYTES",
-                                           1 << 20))
+SCRATCH_TARGET_BYTES = 1 << 20
 _SCRATCH: dict = {}
 
 

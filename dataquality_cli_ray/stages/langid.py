@@ -1,6 +1,6 @@
 """Language identification — a fastText-style hashed char-n-gram
-classifier run as a ``map_batches`` ACTOR POOL (model built/loaded once
-per actor in ``__init__``, scored per batch).
+classifier run in ``map_batches`` tasks (the scorer is built once per
+worker process and cached by the caller, then scores every batch).
 
 Reference analogue: the per-value type probe M3
 (``adaptive_streaming_engine.go:221-234``) — classify each value once —
@@ -10,7 +10,10 @@ profiles (Cavnar & Trenkle) / fastText's hashed n-gram bag.
 Model = {langs: [L], profiles: float32 (L, D) row-normalized}. Scoring a
 batch is one (B, D) x (D, L) matmul; prediction = argmax cosine, score =
 max cosine. Deterministic: hashing uses a fixed polynomial hash (no
-PYTHONHASHSEED), training order-insensitive (pure counts).
+PYTHONHASHSEED), training order-insensitive (pure counts). Training
+counts the whole labeled corpus in one sparse pass (one hash over all
+texts, one ``bincount`` per label), in the driver and in the
+per-batch partials alike.
 """
 
 from __future__ import annotations
@@ -20,31 +23,45 @@ import pickle
 import numpy as np
 import pyarrow as pa
 
-from ..functions.text import ngram_count_matrix, ngram_hash_rows
+from ..functions.text import ngram_hash_rows
 
 DEFAULT_DIM = 4096
 DEFAULT_N = 3
+
+
+def _label_ngram_counts(texts, label_ids, n_labels: int, n: int,
+                        dim: int) -> np.ndarray:
+    """(n_labels, dim) float64 hashed n-gram counts summed per label in
+    one sparse pass: :func:`ngram_hash_rows` over all texts, then one
+    ``bincount`` keyed ``label * dim + bucket``. Texts whose label id is
+    negative count nowhere. The counts are exact integers, so they equal
+    the per-text rows of ``ngram_count_matrix`` summed per label."""
+    row_of, buckets = ngram_hash_rows(texts, n, dim)
+    lab = np.asarray(label_ids, dtype=np.int64)[row_of]
+    keep = lab >= 0
+    key = lab[keep] * dim + buckets[keep]
+    return np.bincount(key, minlength=n_labels * dim).reshape(
+        n_labels, dim).astype(np.float64)
+
+
+def _profiles(counts: np.ndarray) -> np.ndarray:
+    """Row-normalized float32 profiles of per-label count rows."""
+    norms = np.linalg.norm(counts, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return (counts / norms).astype(np.float32)
 
 
 def train_langid_model(
     texts, labels, dim: int = DEFAULT_DIM, n: int = DEFAULT_N
 ) -> dict:
     """Build per-language n-gram profiles from a labeled sample
-    (driver-side; the sample is small by construction)."""
+    (driver-side; the sample is small by construction), counted by
+    :func:`_label_ngram_counts` in one pass over the whole sample."""
     langs = sorted(set(labels))
     idx = {l: i for i, l in enumerate(langs)}
-    prof = np.zeros((len(langs), dim), dtype=np.float64)
-    counts = ngram_count_matrix(np.asarray(texts, dtype=object), n, dim)
-    for row, lab in zip(counts, labels):
-        prof[idx[lab]] += row
-    norms = np.linalg.norm(prof, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return {
-        "langs": langs,
-        "profiles": (prof / norms).astype(np.float32),
-        "dim": dim,
-        "n": n,
-    }
+    counts = _label_ngram_counts(texts, [idx[l] for l in labels],
+                                 len(langs), n, dim)
+    return {"langs": langs, "profiles": _profiles(counts), "dim": dim, "n": n}
 
 
 def merge_langid_partials(partials: list[dict]) -> dict:
@@ -62,10 +79,7 @@ def merge_langid_partials(partials: list[dict]) -> dict:
                 acc[lang] = vec.copy()
     langs = sorted(acc)
     prof = np.stack([acc[l] for l in langs]).astype(np.float64)
-    norms = np.linalg.norm(prof, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return {"langs": langs, "profiles": (prof / norms).astype(np.float32),
-            "dim": dim, "n": n}
+    return {"langs": langs, "profiles": _profiles(prof), "dim": dim, "n": n}
 
 
 class LangIdTrainPartials:
@@ -78,28 +92,24 @@ class LangIdTrainPartials:
         self.text_col, self.label_col, self.dim, self.n = text_col, label_col, dim, n
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = np.asarray(batch[self.text_col].to_pylist(), dtype=object)
         labels = batch[self.label_col].to_pylist()
-        counts = ngram_count_matrix(texts, self.n, self.dim)
-        acc: dict[str, np.ndarray] = {}
-        for row, lab in zip(counts, labels):
-            if lab is None:
-                continue
-            if lab in acc:
-                acc[lab] += row
-            else:
-                acc[lab] = row.astype(np.float64)
+        langs = sorted({l for l in labels if l is not None})
+        idx = {l: i for i, l in enumerate(langs)}
+        counts = _label_ngram_counts(
+            batch[self.text_col], [idx.get(l, -1) for l in labels],
+            len(langs), self.n, self.dim)
+        acc = dict(zip(langs, counts))
         blob = pickle.dumps({"counts": acc, "dim": self.dim, "n": self.n})
         return pa.table({"partial": pa.array([blob], type=pa.binary())})
 
 
 class LangIdScorer:
-    """Actor-pool stage: adds ``lang`` (predicted) + ``lang_score``
+    """Task stage: adds ``lang`` (predicted) + ``lang_score``
     (max cosine) + ``rule_lang_unknown``.
 
     Pass ``model_ref`` as a ``ray.put`` ObjectRef so the (L, D) profile
-    matrix ships to each actor ONCE, not per batch; a plain dict also
-    works for tests.
+    matrix ships to each worker ONCE (callers cache the scorer per
+    worker process), not per batch; a plain dict also works for tests.
     """
 
     def __init__(self, model_ref, text_col: str = "caption_trimmed",

@@ -1,5 +1,5 @@
-"""KenLM-style character n-gram perplexity scorer as an actor-pool
-``map_batches`` stage.
+"""KenLM-style character n-gram perplexity scorer as a ``map_batches``
+task stage.
 
 Reference analogue: the running-moment accumulators A2/A3
 (``simple_engine.go:277-293``) — a per-row numeric score from
@@ -10,8 +10,9 @@ Gopher-style "perplexity filter" uses KenLM the same way).
 Model: hashed trigram + bigram count tables (size D, uint64 polynomial
 hash — process-independent). Score = average -log2 P(c_i | c_{i-2}
 c_{i-1}) with add-k smoothing, i.e. bits/char; natural text scores low,
-gibberish high. Built deterministically from a seed corpus once per
-actor (or passed in pre-built via ``ray.put``).
+gibberish high. Built deterministically from a seed corpus in
+whole-corpus passes (:func:`train_char_lm`) and shipped pre-built via
+``ray.put``; callers cache the scorer once per worker process.
 """
 
 from __future__ import annotations
@@ -35,15 +36,32 @@ def _hash_grams(b: np.ndarray, n: int, dim: int) -> np.ndarray:
 
 
 def train_char_lm(texts, dim: int = 1 << 18, order: int = 3) -> dict:
-    """Count tables for the trigram LM from an iterable of texts."""
-    tri = np.zeros(dim, dtype=np.float64)
-    bi = np.zeros(dim, dtype=np.float64)
-    for t in texts:
-        if not t:
-            continue
-        b = np.frombuffer(f"  {t.lower()} ".encode("utf-8", "ignore"), dtype=np.uint8)
-        np.add.at(tri, _hash_grams(b, order, dim), 1.0)
-        np.add.at(bi, _hash_grams(b, order - 1, dim), 1.0)
+    """Count tables for the trigram LM from an iterable of texts, in
+    whole-corpus passes: every non-empty text is encoded once as
+    ``"  t "`` (lowered, utf-8), the concatenation is hashed once per
+    gram order, windows that cross a text boundary are dropped, and
+    ``np.unique`` counts the rest. The counts are then scattered into
+    ``np.zeros(dim)``, which touches only the pages of buckets that
+    occur: a dense ``bincount(minlength=dim)`` would make both 2 MiB
+    tables resident in every process that builds the model. The tables
+    equal the per-text ``np.add.at`` counts exactly."""
+    enc = [f"  {t.lower()} ".encode("utf-8", "ignore") for t in texts if t]
+    buf = np.frombuffer(b"".join(enc), dtype=np.uint8)
+    ends = np.cumsum([len(e) for e in enc], dtype=np.int64)
+    tables = []
+    for n in (order, order - 1):
+        h = _hash_grams(buf, n, dim)
+        # a window starting in the last n-1 bytes of a text runs into
+        # the next one
+        inside = np.ones(len(h), dtype=bool)
+        for j in range(1, n):
+            cut = ends - j
+            inside[cut[(cut >= 0) & (cut < len(h))]] = False
+        buckets, counts = np.unique(h[inside], return_counts=True)
+        table = np.zeros(dim, dtype=np.float64)
+        table[buckets] = counts
+        tables.append(table)
+    tri, bi = tables
     return {"tri": tri, "bi": bi, "dim": dim, "order": order, "k": 0.1, "vocab": 64.0}
 
 
@@ -157,9 +175,10 @@ def score_text(model: dict, text: str) -> float:
 
 
 class PerplexityScorer:
-    """Actor-pool stage: adds ``ppl`` (bits/char) and optionally
-    ``rule_high_perplexity``. The count tables ship once per actor via
-    the ObjectRef; per-batch work is numpy table lookups."""
+    """Task stage: adds ``ppl`` (bits/char) and optionally
+    ``rule_high_perplexity``. The count tables ship once per worker via
+    the ObjectRef (callers cache the scorer per worker process);
+    per-batch work is numpy table lookups."""
 
     def __init__(self, model_ref, text_col: str = "caption_trimmed",
                  max_ppl: float | None = None):

@@ -44,10 +44,10 @@ def scrub_sql_expr(col: str) -> str:
 
 
 class PiiScrubber:
-    """Actor-pool (or stateless) stage: adds ``caption_scrubbed`` +
-    ``pii_hits`` (total replacements, for lineage counters). Patterns
-    are conceptually 'compiled once per actor'; with Arrow the compiled
-    form lives in the RE2 cache keyed by pattern string."""
+    """Stateless task stage: adds ``caption_scrubbed`` + ``pii_hits``
+    (total replacements, for lineage counters). Arrow compiles each
+    pattern once per worker process: the compiled form lives in the RE2
+    cache keyed by pattern string."""
 
     def __init__(self, text_col: str = "caption_trimmed",
                  out_col: str = "caption_scrubbed"):

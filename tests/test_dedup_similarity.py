@@ -352,6 +352,40 @@ def test_hamming_neardup_radius_guard():
         DD.hamming_neardup_pairs(None, "phash", "image_id", max_hamming=9)
 
 
+@pytest.mark.parametrize("first_p,second_p", [(16, 16), (16, 8)])
+def test_dedup_index_rebuild_leaves_only_new_hashes(ray_session, tmp_path,
+                                                    first_p, second_p):
+    """Rebuilding an index into the same directory over 2 of its 40
+    documents leaves exactly the new index: a later query over the 40
+    texts (new ids) drops only those 2, and the layout has exactly
+    ``second_p`` partitions."""
+    import os
+
+    import ray.data as rd
+
+    from dataquality_cli_ray.pipelines.dedup import (
+        build_dedup_index, dedup_against_index)
+
+    texts = [f"document {i} about topic {i * 7 % 13}" for i in range(40)]
+
+    def corpus(ids, off=0):
+        return rd.from_arrow(pa.table({
+            "doc_id": pa.array([i + off for i in ids], pa.int64()),
+            "text": pa.array([texts[i] for i in ids])}))
+
+    d = str(tmp_path / "idx")
+    assert build_dedup_index(corpus(range(40)), "text", "doc_id", d,
+                             n_partitions=first_p) == 40
+    assert build_dedup_index(corpus([3, 17]), "text", "doc_id", d,
+                             n_partitions=second_p) == 2
+    kept = dedup_against_index(corpus(range(40), 1000), d, "text",
+                               "doc_id").to_pandas()
+    assert sorted(kept["doc_id"]) == [i + 1000 for i in range(40)
+                                      if i not in (3, 17)]
+    assert sorted(os.listdir(d)) == sorted(f"part={p}"
+                                           for p in range(second_p))
+
+
 def test_incremental_dedup_against_index(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.compute as pc

@@ -362,3 +362,23 @@ def test_cli_skips_underscore_parquet(ray_session, multi_file_images,
     got, manifests = _cli_output(str(tmp_path / "out"))
     ref, ref_manifests = _cli_output(str(tmp_path / "ref"))
     assert got.equals(ref) and manifests == ref_manifests
+
+
+def test_cli_rerun_with_nothing_pending_trains_no_model(
+        ray_session, multi_file_images, tmp_path, monkeypatch):
+    """A rerun whose shards are all published builds no model: the
+    seeded models are trained inside the plan, which ``run_resumable``
+    builds only for pending shards. The published output is unchanged."""
+    from dataquality_cli_ray.pipelines import quality as Q
+
+    out = str(tmp_path / "out")
+    _cmd_quality(multi_file_images, out, shard_size=2)
+    before, before_manifests = _cli_output(out)
+
+    def no_build(*a, **kw):
+        raise AssertionError("models built with no shard pending")
+
+    monkeypatch.setattr(Q, "build_models", no_build)
+    _cmd_quality(multi_file_images, out, shard_size=2)
+    after, after_manifests = _cli_output(out)
+    assert after.equals(before) and after_manifests == before_manifests

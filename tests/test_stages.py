@@ -235,8 +235,8 @@ def test_langid_partial_merge_equals_direct():
         parts.append(pickle.loads(stage(t)["partial"][0].as_py()))
     merged = merge_langid_partials(parts)
     assert merged["langs"] == direct["langs"]
-    np.testing.assert_allclose(merged["profiles"], direct["profiles"],
-                               atol=1e-6)
+    # counts are exact integers on both paths: the profiles are equal
+    np.testing.assert_array_equal(merged["profiles"], direct["profiles"])
 
 
 def test_perplexity_separates_gibberish():
@@ -254,6 +254,111 @@ def test_perplexity_scorer_stage():
     out = st(pa.table({"t": ["lorem ipsum dolor", ""]}))
     assert out["ppl"][1].as_py() == 999.0
     assert out["rule_high_perplexity"][1].as_py()
+
+
+# ------------------------------------- training vs per-text oracles
+#
+# The trainers count over the whole corpus in one pass; these oracles
+# are the per-text formulations they replaced, and the models must be
+# array-identical to them.
+
+TRAIN_EDGE_TEXTS = ["", None, "a", " \t ", "café au lait", "İstanbul",
+                    "party \U0001F389 time", "lorem ipsum " * 100,
+                    "dolor sit amet"]
+TRAIN_EDGE_LABELS = ["x", "y", "x", "y", "x", "y", "x", "y", "x"]
+
+
+def _seed_corpus_per_draw(n_per_lang=300, seed=42):
+    texts, labels = [], []
+    for li, lang in enumerate(LANGS):
+        rng = np.random.default_rng([seed, 999_000_001, li])
+        words = VOCAB[lang]
+        for _ in range(n_per_lang):
+            k = int(rng.integers(6, 25))
+            texts.append(" ".join(rng.choice(words, k)))
+            labels.append(lang)
+    return texts, labels
+
+
+def _char_lm_per_text(texts, dim=1 << 18, order=3):
+    from dataquality_cli_ray.stages.perplexity import _hash_grams
+
+    tri = np.zeros(dim, dtype=np.float64)
+    bi = np.zeros(dim, dtype=np.float64)
+    for t in texts:
+        if not t:
+            continue
+        b = np.frombuffer(f"  {t.lower()} ".encode("utf-8", "ignore"),
+                          dtype=np.uint8)
+        np.add.at(tri, _hash_grams(b, order, dim), 1.0)
+        np.add.at(bi, _hash_grams(b, order - 1, dim), 1.0)
+    return {"tri": tri, "bi": bi, "dim": dim, "order": order, "k": 0.1,
+            "vocab": 64.0}
+
+
+def _langid_per_text(texts, labels, dim=4096, n=3):
+    langs = sorted(set(labels))
+    idx = {l: i for i, l in enumerate(langs)}
+    prof = np.zeros((len(langs), dim), dtype=np.float64)
+    counts = T.ngram_count_matrix(np.asarray(texts, dtype=object), n, dim)
+    for row, lab in zip(counts, labels):
+        prof[idx[lab]] += row
+    norms = np.linalg.norm(prof, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return {"langs": langs, "profiles": (prof / norms).astype(np.float32),
+            "dim": dim, "n": n}
+
+
+def _assert_models_equal(got: dict, ref: dict):
+    assert got.keys() == ref.keys()
+    for k, v in ref.items():
+        if isinstance(v, np.ndarray):
+            assert got[k].dtype == v.dtype, k
+            np.testing.assert_array_equal(got[k], v, err_msg=k)
+        else:
+            assert got[k] == v, k
+
+
+@pytest.mark.parametrize("kw", [{}, {"n_per_lang": 37, "seed": 7}])
+def test_seed_corpus_matches_per_draw_choice(kw):
+    assert seed_corpus(**kw) == _seed_corpus_per_draw(**kw)
+
+
+def test_char_lm_matches_per_text_counts():
+    texts, _ = seed_corpus(n_per_lang=60)
+    for probe in (texts, TRAIN_EDGE_TEXTS, texts[:5] + TRAIN_EDGE_TEXTS,
+                  [], ["", None]):
+        _assert_models_equal(train_char_lm(probe), _char_lm_per_text(probe))
+    # an order longer than the first padded text ("  a ")
+    probe = ["a"] + TRAIN_EDGE_TEXTS
+    _assert_models_equal(train_char_lm(probe, dim=1000, order=6),
+                         _char_lm_per_text(probe, 1000, 6))
+
+
+def test_langid_matches_per_text_counts():
+    from dataquality_cli_ray.stages.langid import LangIdTrainPartials
+    import pickle
+
+    texts, labels = seed_corpus(n_per_lang=60)
+    for t, l in ((texts, labels), (TRAIN_EDGE_TEXTS, TRAIN_EDGE_LABELS)):
+        _assert_models_equal(train_langid_model(t, l), _langid_per_text(t, l))
+    # the distributed partials count the same way; a null label counts
+    # nowhere
+    batch = pa.table({"t": TRAIN_EDGE_TEXTS + ["stray"],
+                      "l": TRAIN_EDGE_LABELS + [None]})
+    part = pickle.loads(LangIdTrainPartials("t", "l")(batch)["partial"][0]
+                        .as_py())
+    _assert_models_equal(merge_langid_partials([part]),
+                         _langid_per_text(TRAIN_EDGE_TEXTS, TRAIN_EDGE_LABELS))
+
+
+def test_build_models_matches_per_text_training():
+    from dataquality_cli_ray.pipelines.quality import build_models
+
+    texts, labels = _seed_corpus_per_draw()
+    langid, ppl = build_models()
+    _assert_models_equal(langid, _langid_per_text(texts, labels))
+    _assert_models_equal(ppl, _char_lm_per_text(texts))
 
 
 # ----------------------------------------------------------- text utils

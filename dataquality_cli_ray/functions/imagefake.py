@@ -2,7 +2,7 @@
 
 The sandbox ships no image libraries (no PIL / cv2), so real JPEG/PNG
 decode is STUBBED per the build contract: the *codec* is a fake, but the
-Ray-side plumbing (binary column schema, actor-pool decode stage, batch
+Ray-side plumbing (binary column schema, the decode task stage, batch
 sizing, error quarantine, PSNR invariant) is real and tested.
 
 Format (little-endian):
@@ -79,10 +79,6 @@ def resize_nearest(arr: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 _AHASH_POW2 = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-# 256-entry square LUT: the decode stage's sum-of-squares pass streams
-# bytes through it into a cache-resident uint16 chunk (exact; 255^2
-# fits uint16), accumulating in int64 via the reduceat dtype
-_SQ_LUT = (np.arange(256, dtype=np.uint32) ** 2).astype(np.uint16)
 
 
 def average_hash64(arr: np.ndarray) -> int:

@@ -148,7 +148,8 @@ def _image_embed_batch(col, d: int, buckets: int, seed: int
     """((n, d) L2-normalized image embeddings, ok mask) — fake image
     tower over the FIMG payloads. Rows that fail the header parse get
     ok=False and a zero embedding. Binary-buffer access + same-shape
-    grouping follow ``DecodeImageStage`` (image_stages.py:52-120)."""
+    grouping follow ``DecodeImageStage`` (its ``_parse`` and
+    ``_pixel_features``)."""
     p_img, _, _ = _towers(d, buckets, seed)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()

@@ -382,3 +382,35 @@ def test_cli_rerun_with_nothing_pending_trains_no_model(
     _cmd_quality(multi_file_images, out, shard_size=2)
     after, after_manifests = _cli_output(out)
     assert after.equals(before) and after_manifests == before_manifests
+
+
+def test_default_fused_stage_computes_no_pixel_features(models, monkeypatch):
+    """At the default config no rule reads brightness/contrast/ahash, so
+    the fused stage runs only the decode's payload parse: with the
+    pixel-feature pass made to raise it still labels a fixture batch as
+    the golden oracle does. The ``min_contrast`` gate turns the pass on."""
+    from dataquality_cli_ray.fixtures.images import gen_rows
+    from dataquality_cli_ray.pipelines.quality import (
+        QualityFusedStage, _mark_dup, dup_losers_from_table)
+    from dataquality_cli_ray.stages.image_stages import DecodeImageStage
+    from dataquality_cli_ray.stages.rules import finalize_decision
+
+    def no_features(*a, **k):
+        raise AssertionError("pixel features computed")
+
+    monkeypatch.setattr(DecodeImageStage, "_pixel_features",
+                        staticmethod(no_features))
+    lm, pm = models
+    cfg = QualityConfig()
+    batch = gen_rows(np.arange(600), 600)
+    out = QualityFusedStage(cfg, lm, pm)(batch)
+    assert not {"brightness", "contrast", "ahash"} & set(out.column_names)
+    out = finalize_decision(_mark_dup(out, *dup_losers_from_table(batch)))
+    cols = ["image_id", "keep", "drop_reason", "caption_scrubbed",
+            "lang_pred", "pii_hits"]
+    gold = golden_labels(batch.to_pylist(), cfg, lm, pm)
+    assert out.select(cols).to_pylist() == [{c: g[c] for c in cols}
+                                            for g in gold]
+    assert "decode_error" in set(out["drop_reason"].to_pylist())
+    with pytest.raises(AssertionError, match="pixel features computed"):
+        QualityFusedStage(QualityConfig(min_contrast=1.0), lm, pm)(batch)

@@ -104,6 +104,94 @@ def test_decode_stage_meta_one_null_is_mismatch():
     assert out["rule_decode_error"].to_pylist() == [True, True, False]
 
 
+_DECODE_COLS = ["rule_decode_error", "decode_err", "dec_w", "dec_h",
+                "brightness", "contrast", "ahash"]
+_FEATURE_COLS = ["brightness", "contrast", "ahash"]
+
+
+def _decode_oracle(batch: pa.Table) -> dict:
+    """The decode columns one image at a time: ``IF.decode_image``, the
+    meta check, the int64 sum and sum of squares, ``IF.average_hash64``."""
+    out = {c: [] for c in _DECODE_COLS}
+
+    def put(*vals):
+        for c, v in zip(_DECODE_COLS, vals):
+            out[c].append(v)
+
+    for r in batch.select(["bytes", "w", "h"]).to_pylist():
+        try:
+            arr, _ = IF.decode_image(r["bytes"])
+        except IF.CorruptImageError as e:
+            put(True, str(e), 0, 0, 0.0, 0.0, 0)
+            continue
+        h, w = arr.shape[:2]
+        wm, hm = r["w"], r["h"]
+        if (wm is not None or hm is not None) and (wm != w or hm != h):
+            put(True, f"meta {-1 if wm is None else wm}x"
+                      f"{-1 if hm is None else hm} != decoded {w}x{h}",
+                w, h, 0.0, 0.0, 0)
+            continue
+        flat = arr.reshape(-1).astype(np.int64)
+        mu = flat.sum() / flat.size
+        var = (flat * flat).sum() / flat.size - mu * mu
+        put(False, None, w, h, float(mu), float(np.sqrt(max(var, 0.0))),
+            IF.average_hash64(arr))
+    return out
+
+
+def _decode_cases() -> pa.Table:
+    """``gen_rows`` fixture rows (9 shapes, ~1 % corrupt) followed by the
+    edge rows: null, junk, truncated, unknown format code, meta
+    mismatches with one null side, both meta null, a > 64 KiB payload."""
+    from dataquality_cli_ray.fixtures.images import gen_rows
+
+    fx = gen_rows(np.arange(300), 300).select(["bytes", "w", "h"])
+    assert len(set(zip(fx["w"].to_pylist(), fx["h"].to_pylist()))) >= 9
+    good = IF.encode_image(_img(8, 8), "png")
+    bad_code = good[:4] + bytes([9]) + good[5:]
+    big = IF.encode_image(_img(300, 200, 3), "jpeg")
+    assert len(big) > 64 * 1024
+    edge = pa.table({
+        "bytes": pa.array([None, b"junk", good[:-5], bad_code, good, good,
+                           good, big], type=pa.binary()),
+        "w": pa.array([8, 8, 8, 8, None, 8, None, 300], type=pa.int32()),
+        "h": pa.array([8, 8, 8, 8, 8, None, None, 200], type=pa.int32()),
+    })
+    return pa.concat_tables([fx, edge]).combine_chunks()
+
+
+def _decode_layouts():
+    """(name, table) for each payload layout the decode walks: one
+    chunk, four chunks with their own buffers, a slice at a non-zero
+    offset, and large_binary."""
+    t = _decode_cases()
+    n = t.num_rows
+    cuts = [0, n // 5, n // 2, n - 5, n]
+    four = pa.concat_tables([
+        pa.Table.from_pylist(t.slice(a, b - a).to_pylist(), schema=t.schema)
+        for a, b in zip(cuts, cuts[1:])])
+    assert four["bytes"].num_chunks == 4
+    large = t.set_column(0, "bytes", t["bytes"].cast(pa.large_binary()))
+    return [("one_chunk", t), ("four_chunks", four),
+            ("sliced", t.slice(7)), ("large_binary", large)]
+
+
+def test_batched_decode_equals_per_image_oracle():
+    for name, t in _decode_layouts():
+        got = DecodeImageStage()(t)
+        want = _decode_oracle(t)
+        for c in _DECODE_COLS:
+            assert got[c].to_pylist() == want[c], (name, c)
+        assert got.select(t.column_names).equals(t), name
+
+
+def test_decode_parse_only_equals_full_minus_features():
+    for name, t in _decode_layouts():
+        full = DecodeImageStage()(t)
+        parse = DecodeImageStage(features=False)(t)
+        assert parse.equals(full.drop_columns(_FEATURE_COLS)), name
+
+
 def test_pillow_decode_stage_golden_parity():
     """Golden parity, fake codec vs Pillow (auto-skips without the
     lib): the SAME pixel arrays encoded once as FIMG and once as real

@@ -1,4 +1,5 @@
-"""Vectorized text kernels (Arrow-first) shared by rules / textqa stages.
+"""Vectorized text kernels (Arrow-first) shared by the rules, langid,
+perplexity and textqa stages.
 
 Semantics carried over from the reference (cited so the judge can check
 parity):
@@ -10,8 +11,10 @@ parity):
 - whitespace trim normalizer: reference
   ``internal/engine/adaptive_streaming_engine.go:205``.
 
-Everything here is a pure function Array -> Array, no Python loops over
-rows in hot paths.
+Everything here works on whole Arrow columns, with no Python loops over
+rows in hot paths. :class:`CaptionGrams` holds a caption column's lowered,
+padded buffer and rolling hashes, so the n-gram scorers of one batch
+share a single pass.
 """
 
 from __future__ import annotations
@@ -59,56 +62,67 @@ def count_regex(arr, pattern: str) -> pa.Array:
     return pc.count_substring_regex(arr, pattern).fill_null(0)
 
 
-_ALPHA_LUT = np.zeros(256, dtype=np.uint8)
-_ALPHA_LUT[ord("A"): ord("Z") + 1] = 1
-_ALPHA_LUT[ord("a"): ord("z") + 1] = 1
-_DIGIT_LUT = np.zeros(256, dtype=np.uint8)
-_DIGIT_LUT[ord("0"): ord("9") + 1] = 1
+# byte classes of the char-class rules: 1 = ASCII letter, 2 = ASCII digit
+_CLASS_LUT = np.zeros(256, dtype=np.uint8)
+_CLASS_LUT[ord("A"): ord("Z") + 1] = 1
+_CLASS_LUT[ord("a"): ord("z") + 1] = 1
+_CLASS_LUT[ord("0"): ord("9") + 1] = 2
 
 
-def _byte_class_count(arr: pa.Array | pa.ChunkedArray,
-                      lut: np.ndarray) -> np.ndarray:
-    """Per-row count of bytes whose LUT entry is 1, straight off the
-    Arrow UTF-8 buffer (LUT gather + one cumsum; counts read as
-    csum[end]-csum[start]). For ASCII byte classes this equals the
-    per-CODEPOINT regex count on any valid UTF-8 string: multi-byte
-    codepoints consist solely of bytes >= 0x80, which never collide
-    with an ASCII range. Null rows return 0 (callers mask)."""
+def char_class_ratios(arr: pa.Array | pa.ChunkedArray,
+                      n=None) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha ratio, digit ratio) of each row as float64 numpy arrays:
+    #ASCII letters / #chars (1.0 for an empty row, so it is not dropped
+    for a zero division) and #ASCII digits / #chars (0.0 for an empty
+    row). ``n`` is the rows' ``pc.utf8_length`` when the caller already
+    has it. Null rows read as empty; callers mask them.
+
+    Both counts come from one byte-class LUT pass over the Arrow UTF-8
+    buffer and one ``add.reduceat`` per class over the rows' offsets.
+    Counting bytes equals the per-CODEPOINT regex count
+    ``count_substring_regex(arr, '[A-Za-z]')`` the DuckDB oracles use
+    on any valid UTF-8 string: multi-byte codepoints consist solely of
+    bytes >= 0x80, which never fall in an ASCII class."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+    m = len(arr)
+    if n is None:
+        n = pc.utf8_length(arr)
+    n = np.asarray(n.fill_null(0), dtype=np.float64)
     off_dt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dt)[
-        arr.offset: arr.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    csum = np.zeros(len(data) + 1, dtype=np.int64)
-    np.cumsum(lut[data], out=csum[1:])
-    return csum[offs[1:]] - csum[offs[:-1]]
+    offs = np.frombuffer(bufs[1], dtype=off_dt)[arr.offset: arr.offset + m + 1] \
+        if m else np.zeros(1, dtype=off_dt)
+    lo, hi = int(offs[0]), int(offs[-1])
+    # a trailing 0: an empty last row starts one past the data
+    cls = np.zeros(hi - lo + 1, dtype=np.uint8)
+    if hi > lo:
+        np.take(_CLASS_LUT, np.frombuffer(bufs[2], dtype=np.uint8)[lo:hi],
+                out=cls[:-1])
+    starts = (offs[:-1] - lo).astype(np.intp)
+    # (reduceat reads an empty row as its next row's first byte; the
+    # n == 0 rows are set below)
+    alpha = np.add.reduceat(cls & np.uint8(1), starts, dtype=off_dt)
+    digit = np.add.reduceat(cls >> np.uint8(1), starts, dtype=off_dt)
+    denom = np.maximum(n, 1.0)
+    a = np.divide(alpha.astype(np.float64), denom)
+    a[n == 0] = 1.0
+    d = np.divide(digit.astype(np.float64), denom)
+    d[n == 0] = 0.0
+    return a, d
 
 
 def alpha_ratio(arr) -> pa.Array:
     """#alphabetic chars / #chars (1.0 for empty to avoid div-by-zero
     drops). Value-identical to the regex formulation
     ``count_substring_regex(arr, '[A-Za-z]') / utf8_length`` the DuckDB
-    oracles use (see ``_byte_class_count``), computed without a regex
-    scan."""
-    n = np.asarray(pc.utf8_length(arr).fill_null(0), dtype=np.float64)
-    alpha = _byte_class_count(arr, _ALPHA_LUT).astype(np.float64)
-    out = np.divide(alpha, np.maximum(n, 1.0))
-    out[n == 0] = 1.0
-    return _with_validity(out, arr)
+    oracles use (see :func:`char_class_ratios`), computed without a
+    regex scan."""
+    return _with_validity(char_class_ratios(arr)[0], arr)
 
 
 def digit_ratio(arr) -> pa.Array:
-    n = np.asarray(pc.utf8_length(arr).fill_null(0), dtype=np.float64)
-    digit = _byte_class_count(arr, _DIGIT_LUT).astype(np.float64)
-    out = np.divide(digit, np.maximum(n, 1.0))
-    out[n == 0] = 0.0
-    return _with_validity(out, arr)
+    return _with_validity(char_class_ratios(arr)[1], arr)
 
 
 def _with_validity(values: np.ndarray, like) -> pa.Array:
@@ -146,92 +160,177 @@ def tokens_python(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+HASH_P = 1000003          # multiplier of the char-n-gram rolling hash
+# padded caption bytes per scoring block (~1,100 fixture captions): see
+# CaptionGrams.blocks
+BLOCK_BYTES = 1 << 17
+
+
+def narrow_dim(dim: int) -> bool:
+    """True when buckets ``h % dim`` can be taken from a uint32 hash:
+    ``dim`` is a power of two <= 2^32, so the bucket is the hash's low
+    bits, and uint32 arithmetic keeps the low 32 bits of the uint64
+    roll exactly."""
+    return 0 < dim <= (1 << 32) and dim & (dim - 1) == 0
+
+
+def _roll(data: np.ndarray, n: int, wide: bool) -> list[np.ndarray]:
+    """Polynomial rolling hashes of orders 1..n at every start position
+    of the uint8 buffer ``data``: ``hs[k - 1][i]`` hashes
+    ``data[i: i + k]`` as ``h = h * HASH_P + byte``, in uint64 when
+    ``wide``, else in uint32. Each order extends the one below by one
+    step, so the sweep costs one vector pass per order."""
+    dt = np.uint64 if wide else np.uint32
+    p = dt(HASH_P)
+    hs = [data.astype(dt)]
+    with np.errstate(over="ignore"):
+        for k in range(2, n + 1):
+            h = hs[-1][: max(len(data) - k + 1, 0)] * p
+            h += data[k - 1:]
+            hs.append(h)
+    return hs
+
+
+class CaptionGrams:
+    """The char-n-gram material of one text column, built once per batch
+    and shared by every scorer that reads the column (the flagship's
+    langid and perplexity): the lowered UTF-8 buffer with each non-null
+    row padded to ``"  t "``, each row's offsets into it, and the
+    rolling hashes (:func:`_roll`) at every start position, swept on
+    first use and kept per (order, width). Null rows hold no bytes.
+
+    The scorers' windows are two views of the same buffer:
+
+    - perplexity scores the windows of ``"  t "``; an empty text (padded
+      ``"   "``) scores none;
+    - langid counts the windows of ``" t "``, which is the row without
+      its first byte: every window of the row but its first.
+
+    ``texts`` may be a ``pa.Array``/``pa.ChunkedArray`` of ``string`` or
+    ``large_string`` (no Python string is made) or a sequence of
+    ``str``/``None``. Lowering happens in Arrow for every input, so the
+    buckets cannot diverge on edge-case Unicode case mappings: Arrow's
+    ``utf8_lower`` uses simple case mapping (U+0130 'İ' -> 'i', final
+    sigma stays 'σ') where Python's ``str.lower`` is context-sensitive.
+    Training and scoring share this buffer, so bucket assignment is
+    always self-consistent."""
+
+    def __init__(self, texts):
+        if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
+            texts = pa.array([None if t is None else str(t) for t in texts],
+                             type=pa.string())
+        if isinstance(texts, pa.ChunkedArray):
+            texts = texts.combine_chunks()
+        sp, empty = pa.scalar(" ", texts.type), pa.scalar("", texts.type)
+        padded = pc.binary_join_element_wise(
+            sp, pc.utf8_lower(texts), empty, sp).fill_null("")
+        m = len(padded)
+        offs = np.zeros(1, dtype=np.int64)
+        data = np.empty(0, dtype=np.uint8)
+        if m:
+            off_dt = np.int64 if pa.types.is_large_string(padded.type) \
+                else np.int32
+            bufs = padded.buffers()
+            offs = np.frombuffer(bufs[1], dtype=off_dt)[
+                padded.offset: padded.offset + m + 1].astype(np.int64)
+            if bufs[2] is not None:
+                data = np.frombuffer(bufs[2], dtype=np.uint8)
+        self._set(data, offs)
+
+    def _set(self, data: np.ndarray, offs: np.ndarray) -> None:
+        """Hold the rows whose padded texts are ``data[offs[i]:
+        offs[i + 1]]``, rebased so ``data`` starts at the first row."""
+        lo = int(offs[0])
+        self.data = data[lo: int(offs[-1])]
+        self.offs = offs - lo
+        self.lens = np.diff(offs)
+        self.m = len(self.lens)
+        self._hashes: dict = {}
+        self._block = False
+
+    def blocks(self):
+        """``(first row, CaptionGrams)`` over consecutive row ranges of
+        about ``BLOCK_BYTES`` padded bytes each (one range when the
+        batch is smaller), sharing this buffer; a block yields itself.
+        A scorer's temporaries are tens of bytes per caption byte; per
+        block they stay cache-resident and the allocator recycles them,
+        where a whole 4,096-row batch's are page-faulted in afresh on
+        every call. Rows are independent, so blocking changes no
+        output."""
+        total = int(self.offs[-1])
+        if self._block or total <= BLOCK_BYTES:
+            yield 0, self
+            return
+        step = max(1, self.m * BLOCK_BYTES // total)
+        for lo in range(0, self.m, step):
+            hi = min(lo + step, self.m)
+            g = object.__new__(CaptionGrams)
+            g._set(self.data, self.offs[lo: hi + 1])
+            g._block = True
+            yield lo, g
+
+    def hashes(self, n: int, wide: bool = False) -> np.ndarray:
+        """The order-``n`` rolling hash at every start position of
+        ``data`` (uint64 when ``wide``, else uint32). One sweep yields
+        every order up to ``n``; later calls for any of them reuse it."""
+        h = self._hashes.get((n, wide))
+        if h is None:
+            for k, hk in enumerate(_roll(self.data, n, wide), 1):
+                self._hashes.setdefault((k, wide), hk)
+            h = self._hashes[(n, wide)]
+        return h
+
+    def ngram_rows(self, n: int, dim: int,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(row_of, buckets)`` int32 for every char-n-gram of each
+        row's ``" t "``: see :func:`ngram_hash_rows`."""
+        counts = np.maximum(self.lens - n, 0)
+        total = int(counts.sum())
+        if total == 0:
+            return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+        narrow = narrow_dim(dim)
+        h = self.hashes(n, wide=not narrow)
+        # each row's bytes: its first (not in " t "), its windows, and
+        # the n - 1 whose window would run into the next row
+        lens = self.lens
+        runs = np.empty((self.m, 3), dtype=np.int64)
+        runs[:, 0] = lens > 0
+        runs[:, 1] = counts
+        runs[:, 2] = lens - runs[:, 0] - counts
+        starts = np.repeat(np.tile(np.array([False, True, False]), self.m),
+                           runs.ravel())
+        g = h[starts[: len(h)]]
+        if narrow:
+            if seed:
+                g ^= np.uint32(seed & 0xFFFFFFFF)
+            g &= np.uint32(dim - 1)
+            buckets = g.view(np.int32)       # astype's wrap, without a copy
+        else:
+            buckets = ((g ^ np.uint64(seed))
+                       % np.uint64(dim)).astype(np.int32)
+        row_of = np.repeat(np.arange(self.m, dtype=np.int32), counts)
+        return row_of, buckets
+
+
 def ngram_hash_rows(
     texts, n: int, dim: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """All hashed char-n-gram occurrences of a batch as two parallel
     int32 arrays ``(row_of, buckets)`` — the SPARSE form of the count matrix
-    (one entry per n-gram occurrence, not per (row, bucket) cell). Uses
-    a fixed polynomial rolling hash so results are deterministic across
-    processes (no PYTHONHASHSEED dependence).
+    (one entry per n-gram occurrence, not per (row, bucket) cell), over
+    each row's lowered ``" t "``. Uses a fixed polynomial rolling hash
+    (``HASH_P``) so results are deterministic across processes (no
+    PYTHONHASHSEED dependence); a bucket is ``(h ^ seed) % dim``.
 
-    ``texts`` may be a ``pa.Array``/``pa.ChunkedArray`` (fast path: the
-    hash runs directly over the Arrow UTF-8 data buffer in uint16 —
-    bucket-identical to uint64 arithmetic because ``dim`` divides 2^16,
-    so ``% dim`` / ``^ seed`` depend only on the low bits; no Python
-    string objects are materialized) or a numpy object array (legacy
-    path). Null/None texts and texts shorter than ``n`` after " t "
-    padding contribute no entries. Both paths produce bit-identical
-    (row_of, buckets) — lowering happens in Arrow for both — pinned by
-    ``test_ngram_hash_rows_arrow_matches_object_path``. Note: Arrow's
-    ``utf8_lower`` uses simple case mapping (U+0130 'İ' -> 'i', final
-    sigma stays 'σ') where Python's str.lower is context-sensitive; all
-    engine paths (training and scoring) share THIS function, so bucket
-    assignment is always self-consistent."""
-    if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
-        # object input still benefits from the buffer kernel: one Arrow
-        # conversion, then the shared vectorized path (lowering happens
-        # in Arrow for BOTH paths so results cannot diverge on edge-case
-        # Unicode case mappings)
-        if len(texts) == 0:
-            return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
-        texts = pa.array([None if t is None else str(t) for t in texts],
-                         type=pa.string())
-    fast_dim = dim > 0 and (dim & (dim - 1)) == 0 and dim <= 65536
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    m = len(texts)
-    if m == 0:
-        return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
-    # " t ".lower() padding in two vectorized Arrow passes
-    lowered = pc.utf8_lower(texts)
-    padded = pc.binary_join_element_wise(
-        pa.scalar(""), lowered, pa.scalar(""), pa.scalar(" "))
-    padded = padded.fill_null("")
-    if isinstance(padded, pa.ChunkedArray):
-        padded = padded.combine_chunks()
-    off_dtype = np.int64 if pa.types.is_large_string(padded.type) else np.int32
-    bufs = padded.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dtype)[
-        padded.offset: padded.offset + m + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    if offs[-1] - offs[0] < n:
-        return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
-    if int(offs[-1]) > np.iinfo(np.int32).max:
-        raise ValueError("batch text buffer exceeds 2 GiB; split the batch")
-    nw = int(offs[-1]) - n + 1
-    if fast_dim:
-        P = np.uint16(1000003 & 0xFFFF)
-        with np.errstate(over="ignore"):
-            h = data[:nw].astype(np.uint16)
-            for j in range(1, n):
-                h = h * P + data[j: nw + j]
-    else:                              # rare: dim not a power of two
-        P64 = np.uint64(1000003)
-        with np.errstate(over="ignore"):
-            h = data[:nw].astype(np.uint64)
-            for j in range(1, n):
-                h = h * P64 + data[j: nw + j]
-    # int32 throughout: occurrence counts and buffer offsets are far
-    # below 2^31 for any sane batch, and the three occurrence-length
-    # temps were the kernel's remaining memory traffic at full width
-    lens32 = (offs[1:] - offs[:-1]).astype(np.int32)
-    counts_per = np.maximum(lens32 - n + 1, 0)
-    co = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(counts_per, out=co[1:])
-    total = int(co[-1])
-    idx = (np.arange(total, dtype=np.int32)
-           - np.repeat(co[:-1], counts_per)
-           + np.repeat(offs[:-1].astype(np.int32), counts_per))
-    if fast_dim:
-        buckets = ((h[idx] ^ np.uint16(seed & 0xFFFF))
-                   & np.uint16(dim - 1)).astype(np.int32)
-    else:
-        buckets = ((h[idx] ^ np.uint64(seed))
-                   % np.uint64(dim)).astype(np.int32)
-    row_of = np.repeat(np.arange(m, dtype=np.int32), counts_per)
-    return row_of, buckets
+    ``texts`` is anything :class:`CaptionGrams` takes; this builds one.
+    A scorer that shares the batch's :class:`CaptionGrams` calls its
+    ``ngram_rows`` instead. When ``dim`` is a power of two the hash
+    runs in uint32 — bucket-identical to uint64 arithmetic because
+    ``% dim`` / ``^ seed`` depend only on the low bits. Null/None texts
+    and texts shorter than ``n`` after " t " padding contribute no
+    entries. Arrow and object inputs give bit-identical results, pinned
+    by ``test_ngram_hash_rows_arrow_matches_object_path``."""
+    return CaptionGrams(texts).ngram_rows(n, dim, seed)
 
 
 def ngram_count_matrix(texts: np.ndarray, n: int, dim: int, seed: int = 0) -> np.ndarray:

@@ -50,6 +50,7 @@ import ray
 import ray.data as rd
 
 from ..fixtures.images import seed_corpus
+from ..functions.text import CaptionGrams
 from ..stages.image_stages import DecodeImageStage
 from ..stages.langid import LangIdScorer, train_langid_model
 from ..stages.perplexity import PerplexityScorer, train_char_lm
@@ -377,12 +378,14 @@ class QualityFusedStage:
 
     All sub-stages are CPU-bound per-batch transforms with shared-
     nothing state, so fusing them eliminates inter-stage block handoffs
-    — the kernels themselves cost ~18-19 µs·cpu/row at the default
-    config and ~26 with the decode's pixel-feature pass (one 4,096-row
-    fixture batch in one process). Models are fetched from the object
-    store ONCE per worker process (first call on a task worker, via the
-    module cache below). A text-only table (no image payload column)
-    skips the decode and the gates on its columns.
+    — the kernels themselves cost ~10-13 µs·cpu/row at the default
+    config (one 4,096-row fixture batch in one process;
+    ``scripts/kernel_probe.py``). langid and perplexity share the
+    batch's lowered, padded caption buffer and, block by block, one
+    rolling hash (``functions.text.CaptionGrams``). Models are fetched
+    from the object store ONCE per worker process (first call on a task
+    worker, via the module cache below). A text-only table (no image
+    payload column) skips the decode and the gates on its columns.
 
     The decode always runs its payload parse (decode_error and the
     decoded dims). Its pixel-feature pass runs only when the
@@ -449,8 +452,12 @@ class QualityFusedStage:
         # store
         if "bytes" in out.column_names:
             out = out.drop_columns(["bytes"])
-        out = self.langid(out)
-        out = self.ppl(out)
+        # one lowered, padded caption buffer for the batch; block by
+        # block, one rolling hash serves both n-gram scorers
+        grams = CaptionGrams(out[self.langid.text_col])
+        out = pa.concat_tables([
+            self.ppl(self.langid(out.slice(lo, g.m), g), g)
+            for lo, g in grams.blocks()])
         out = self.scrub(out)
         return out
 

@@ -330,11 +330,10 @@ def _footers(files: list[str]) -> list:
     Ray's own metadata fetch put there has no ``row_groups`` and is
     read again.
 
-    Footers are fetched with a small thread pool: pyarrow releases the
-    GIL during file I/O, and a many-file table pays one open+parse per
-    file."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    Cached entries are looked up first; the misses are fetched with a
+    small thread pool (pyarrow releases the GIL during file I/O, and a
+    many-file table pays one open+parse per file), so a fully cached
+    call starts no thread."""
     import pyarrow.parquet as pq
     from ray.data.datasource.parquet_meta_provider import (
         _ParquetFileFragmentMetaData,
@@ -342,15 +341,14 @@ def _footers(files: list[str]) -> list:
 
     cache = _LocalFooterMetadataProvider._cache
 
-    def one(f: str):
+    def key_of(f: str):
         try:
             st = os.stat(f)
-            key = (f, st.st_mtime_ns, st.st_size)
         except OSError:
-            key = None
-        meta = cache.get(key) if key is not None else None
-        if meta is not None and hasattr(meta, "row_groups"):
-            return meta
+            return None
+        return (f, st.st_mtime_ns, st.st_size)
+
+    def read(f: str, key):
         md = pq.read_metadata(f)
         meta = _ParquetFileFragmentMetaData(md)
         meta.row_groups = [(md.row_group(i).num_rows,
@@ -362,10 +360,21 @@ def _footers(files: list[str]) -> list:
             cache[key] = meta
         return meta
 
-    if len(files) <= 4:
-        return [one(f) for f in files]
-    with ThreadPoolExecutor(max_workers=8) as ex:
-        return list(ex.map(one, files))
+    keys = [key_of(f) for f in files]
+    out = [cache.get(k) if k is not None else None for k in keys]
+    miss = [i for i, m in enumerate(out)
+            if m is None or not hasattr(m, "row_groups")]
+    if len(miss) <= 4:
+        for i in miss:
+            out[i] = read(files[i], keys[i])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            for i, meta in zip(miss, ex.map(
+                    read, [files[i] for i in miss], [keys[i] for i in miss])):
+                out[i] = meta
+    return out
 
 
 def parquet_file_rows(files: list[str]) -> list[int]:

@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import imagefake as IF
+from ..functions.arrays import binary_rows, row_prefixes
 from ..functions.wordgrams import word_ngram_hashes_batch
 
 GRID = 4
@@ -147,30 +148,18 @@ def _image_embed_batch(col, d: int, buckets: int, seed: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """((n, d) L2-normalized image embeddings, ok mask) — fake image
     tower over the FIMG payloads. Rows that fail the header parse get
-    ok=False and a zero embedding. Binary-buffer access + same-shape
-    grouping follow ``DecodeImageStage`` (its ``_parse`` and
-    ``_pixel_features``)."""
+    ok=False and a zero embedding. The payload chunks are read in place
+    (:func:`binary_rows`, no ``combine_chunks`` copy); the same-shape
+    grouping follows ``DecodeImageStage._pixel_features``."""
     p_img, _, _ = _towers(d, buckets, seed)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
+    datas, cid, start, lens, notnull = binary_rows(col)
+    n = len(start)
     emb = np.zeros((n, d), dtype=np.float32)
     ok = np.zeros(n, dtype=bool)
-    if n == 0:
-        return emb, ok
-    off_dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
-    bufs = col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dt)[
-        col.offset: col.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    start, lens = offs[:-1], offs[1:] - offs[:-1]
-    notnull = np.ones(n, dtype=bool) if col.null_count == 0 else \
-        np.asarray(col.is_valid())
     io = np.flatnonzero(notnull & (lens >= 9))
     if len(io) == 0:
         return emb, ok
-    hdr = data[start[io][:, None] + np.arange(9)]
+    hdr = row_prefixes(datas, cid, start, io, 9)
     magic = np.frombuffer(IF.MAGIC, dtype=np.uint8)
     code_valid = np.zeros(256, dtype=bool)
     code_valid[list(IF.CODE_FMTS)] = True
@@ -188,8 +177,9 @@ def _image_embed_batch(col, d: int, buckets: int, seed: int
         hh, ww = int(key >> 16), int(key & 0xFFFF)
         k, hw3 = len(idxs), hh * ww * 3
         flat = np.empty((k, hw3), dtype=np.uint8)
-        for j, s in enumerate(start[idxs] + 9):
-            flat[j] = data[s: s + hw3]
+        for j, (c, s) in enumerate(zip(cid[idxs].tolist(),
+                                       (start[idxs] + 9).tolist())):
+            flat[j] = datas[c][s: s + hw3]
         px = flat.reshape(k, hh, ww, 3)
         if hh < GRID:      # tiny images: nearest-upsample to grid size
             px = np.repeat(px, -(-GRID // hh), axis=1)

@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from ..functions import imagecodec as IC
 from ..functions import imagefake as IF
+from ..functions.arrays import binary_rows, row_prefixes
 
 # per-worker scratch for DecodeImageStage's same-shape payload blocks,
 # keyed by row width (bytes) — avoids a fresh multi-MB allocation (page
@@ -34,8 +35,6 @@ from ..functions import imagefake as IF
 # cache-resident (see the kernel comment in DecodeImageStage).
 SCRATCH_TARGET_BYTES = 1 << 20
 _SCRATCH: dict = {}
-
-_EMPTY = np.empty(0, dtype=np.uint8)
 
 
 class DecodeImageStage:
@@ -92,50 +91,18 @@ class DecodeImageStage:
         — each chunk's data buffer, each row's chunk index and payload
         start, the decodable FIMG rows with their dims, and the
         (row, pixels) pairs Pillow decoded."""
-        col = batch[self.bytes_col]
-        chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-        n = len(col)
+        datas, cid, start, lens, notnull = binary_rows(batch[self.bytes_col])
+        n = len(start)
         err = np.full(n, None, dtype=object)
         dec_w = np.zeros(n, dtype=np.int32)
         dec_h = np.zeros(n, dtype=np.int32)
-        # per-row payload start/length and chunk index, read off each
-        # chunk's offsets in place: combine_chunks() would copy the
-        # whole payload (~2 us/row, mostly page faults on the fresh
-        # buffer) even for a one-chunk column
-        start = np.zeros(n, dtype=np.int64)
-        lens = np.zeros(n, dtype=np.int64)
-        notnull = np.zeros(n, dtype=bool)
-        cid = np.zeros(n, dtype=np.int64)
-        datas, hdrs = [], []
-        base = 0
-        for c, ch in enumerate(chunks):
-            m = len(ch)
-            bufs = ch.buffers()
-            data = np.frombuffer(bufs[2], dtype=np.uint8) \
-                if m and bufs[2] is not None else _EMPTY
-            datas.append(data)
-            if not m:
-                continue
-            off_dt = np.int64 if pa.types.is_large_binary(ch.type) \
-                else np.int32
-            offs = np.frombuffer(bufs[1], dtype=off_dt)[
-                ch.offset: ch.offset + m + 1].astype(np.int64)
-            rows = slice(base, base + m)
-            start[rows] = offs[:-1]
-            lens[rows] = offs[1:] - offs[:-1]
-            notnull[rows] = True if ch.null_count == 0 else \
-                np.asarray(ch.is_valid())
-            cid[rows] = c
-            ok = np.flatnonzero(notnull[rows] & (lens[rows] >= 9))
-            hdrs.append(data[start[rows][ok][:, None] + np.arange(9)])
-            base += m
         okhdr = notnull & (lens >= 9)
         err[np.flatnonzero(~okhdr)] = "bad magic"
         io = np.flatnonzero(okhdr)
         good = np.empty(0, dtype=np.int64)
         w_of = h_of = np.empty(0, dtype=np.int64)
         if len(io):
-            hdr = np.concatenate(hdrs)
+            hdr = row_prefixes(datas, cid, start, io, 9)
             magic = np.frombuffer(IF.MAGIC, dtype=np.uint8)
             m_ok = (hdr[:, :4] == magic).all(axis=1)
             err[io[~m_ok]] = "bad magic"

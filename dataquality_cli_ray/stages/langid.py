@@ -7,13 +7,16 @@ Reference analogue: the per-value type probe M3
 generalized to a linear text classifier. Public technique: char-n-gram
 profiles (Cavnar & Trenkle) / fastText's hashed n-gram bag.
 
-Model = {langs: [L], profiles: float32 (L, D) row-normalized}. Scoring a
-batch is one (B, D) x (D, L) matmul; prediction = argmax cosine, score =
-max cosine. Deterministic: hashing uses a fixed polynomial hash (no
-PYTHONHASHSEED), training order-insensitive (pure counts). Training
-counts the whole labeled corpus in one sparse pass (one hash over all
-texts, one ``bincount`` per label), in the driver and in the
-per-batch partials alike.
+Model = {langs: [L], profiles: float32 (L, D) row-normalized}. Scoring
+counts each caption's hashed n-grams sparsely and takes its cosine with
+every profile; prediction = argmax cosine, score = max cosine. The
+n-grams come from the batch's ``CaptionGrams`` (``functions/text.py``):
+in the flagship's fused stage that one lowered buffer and rolling hash
+also feed the perplexity scorer. Deterministic: hashing uses a fixed
+polynomial hash (no PYTHONHASHSEED), training order-insensitive (pure
+counts). Training counts the whole labeled corpus in one sparse pass
+(one hash over all texts, one ``bincount`` per label), in the driver
+and in the per-batch partials alike.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pickle
 import numpy as np
 import pyarrow as pa
 
-from ..functions.text import ngram_hash_rows
+from ..functions.text import CaptionGrams, ngram_hash_rows
 
 DEFAULT_DIM = 4096
 DEFAULT_N = 3
@@ -110,6 +113,10 @@ class LangIdScorer:
     Pass ``model_ref`` as a ``ray.put`` ObjectRef so the (L, D) profile
     matrix ships to each worker ONCE (callers cache the scorer per
     worker process), not per batch; a plain dict also works for tests.
+    A caller that already holds the batch's :class:`CaptionGrams` of
+    ``text_col`` passes it as ``grams`` (the flagship's fused stage
+    shares one with the perplexity scorer); otherwise the call builds
+    one.
     """
 
     def __init__(self, model_ref, text_col: str = "caption_trimmed",
@@ -119,53 +126,70 @@ class LangIdScorer:
             model = ray.get(model_ref)
         else:
             model = model_ref
-        self.langs = np.asarray(model["langs"], dtype=object)
-        # (L, D) float64 rows: each language's profile is gathered by
-        # bucket id in the sparse scoring pass (row-contiguous gathers)
-        self.profiles = model["profiles"].astype(np.float64)
+        self.langs = pa.array(list(model["langs"]), type=pa.string())
+        # each language's float64 profile as its own contiguous row:
+        # the sparse scoring pass gathers it by bucket id
+        self.profiles = [np.ascontiguousarray(p, dtype=np.float64)
+                         for p in model["profiles"]]
         self.dim = model["dim"]
         self.n = model["n"]
         self.text_col = text_col
         self.min_score = min_score
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.text_col]
-        m = len(col)
-        # SPARSE cosine: the dense (rows, dim) count matrix moved
-        # dim x 8 B per row through memory (the measured bandwidth
-        # bottleneck at full parallelism — BASELINE.md round 3); the
-        # per-(row, bucket) counts via sort/unique touch only the ~50
-        # n-gram occurrences a caption actually has. The hash runs over
-        # the Arrow UTF-8 buffer directly (no Python strings) and the
-        # (row, bucket) composite key stays uint32 — both cut the
-        # per-row memory traffic that inflated kernel cost at full
-        # worker width (8->30 worker inflation 1.85x before, BASELINE).
-        row_of, buckets = ngram_hash_rows(col, self.n, self.dim)
-        sims = np.zeros((m, len(self.langs)), dtype=np.float64)
-        if len(row_of):
-            if m * self.dim < (1 << 32):
-                key = (row_of.astype(np.uint32) * np.uint32(self.dim)
-                       + buckets.astype(np.uint32))
-            else:
-                key = row_of.astype(np.int64) * self.dim + buckets
-            uniq, cnt = np.unique(key, return_counts=True)
-            rows = (uniq // self.dim).astype(np.int64)
-            bkt = (uniq - rows * np.uint32(self.dim)).astype(np.int64) \
-                if uniq.dtype == np.uint32 else uniq - rows * self.dim
-            cf = cnt.astype(np.float64)
-            norms = np.sqrt(np.bincount(rows, weights=cf * cf, minlength=m))
-            norms[norms == 0] = 1.0
-            for li in range(len(self.langs)):
-                sims[:, li] = np.bincount(
-                    rows, weights=cf * self.profiles[li][bkt], minlength=m)
-            sims /= norms[:, None]
-        best = sims.argmax(axis=1)
-        score = sims[np.arange(m), best]
-        lang = self.langs[best].astype(str)
-        out = batch.append_column("lang_pred", pa.array(lang, type=pa.string()))
+    def __call__(self, batch: pa.Table,
+                 grams: CaptionGrams | None = None) -> pa.Table:
+        if grams is None:
+            grams = CaptionGrams(batch[self.text_col])
+        parts = [self._scores(g) for _, g in grams.blocks()]
+        best = np.concatenate([b for b, _ in parts])
+        score = np.concatenate([s for _, s in parts])
+        out = batch.append_column("lang_pred", self.langs.take(best))
         out = out.append_column("lang_score", pa.array(score, type=pa.float64()))
         if self.min_score is not None:
             out = out.append_column(
                 "rule_lang_unknown", pa.array(score < self.min_score)
             )
         return out
+
+    def _scores(self, grams: CaptionGrams) -> tuple[np.ndarray, np.ndarray]:
+        """(index into ``langs``, max cosine) of each row of ``grams``.
+
+        SPARSE cosine: the dense (rows, dim) count matrix moved
+        dim x 8 B per row through memory (the measured bandwidth
+        bottleneck at full parallelism — BASELINE.md round 3); one
+        in-place sort of the (row, bucket) keys gives the per-(row,
+        bucket) counts, touching only the ~100 n-gram occurrences a
+        caption actually has. The key stays uint32 where it fits."""
+        m, dim = grams.m, self.dim
+        row_of, buckets = grams.ngram_rows(self.n, dim)
+        sims = np.zeros((m, len(self.langs)), dtype=np.float64)
+        if len(row_of):
+            if m * dim < (1 << 32):
+                key = row_of.view(np.uint32) * np.uint32(dim)
+                key += buckets.view(np.uint32)
+            else:
+                key = row_of.astype(np.int64) * dim + buckets
+            key.sort()
+            # the distinct keys and their run lengths, as np.unique's
+            # return_counts computes them
+            first = np.empty(len(key), dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            cf = np.empty(len(starts), dtype=np.float64)
+            np.subtract(starts[1:], starts[:-1], out=cf[:-1])
+            cf[-1] = len(key) - starts[-1]
+            # the sort permutes keys within their row only, so each
+            # run's row is its first window's
+            rows = row_of[starts].astype(np.intp)
+            bkt = key[starts] - rows * dim
+            w = np.multiply(cf, cf)
+            norms = np.sqrt(np.bincount(rows, weights=w, minlength=m))
+            norms[norms == 0] = 1.0
+            for li, prof in enumerate(self.profiles):
+                np.take(prof, bkt, out=w)
+                w *= cf
+                sims[:, li] = np.bincount(rows, weights=w, minlength=m)
+            sims /= norms[:, None]
+        best = sims.argmax(axis=1)
+        return best, sims[np.arange(m), best]

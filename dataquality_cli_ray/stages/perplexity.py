@@ -10,7 +10,9 @@ Gopher-style "perplexity filter" uses KenLM the same way).
 Model: hashed trigram + bigram count tables (size D, uint64 polynomial
 hash — process-independent). Score = average -log2 P(c_i | c_{i-2}
 c_{i-1}) with add-k smoothing, i.e. bits/char; natural text scores low,
-gibberish high. Built deterministically from a seed corpus in
+gibberish high. Scoring reads the batch's ``CaptionGrams``
+(``functions/text.py``), whose rolling hash the flagship's fused stage
+shares with the langid scorer. Built deterministically from a seed corpus in
 whole-corpus passes (:func:`train_char_lm`) and shipped pre-built via
 ``ray.put``; callers cache the scorer once per worker process.
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..functions.text import CaptionGrams, narrow_dim
 
 _P = np.uint64(1000003)
 
@@ -65,97 +69,63 @@ def train_char_lm(texts, dim: int = 1 << 18, order: int = 3) -> dict:
     return {"tri": tri, "bi": bi, "dim": dim, "order": order, "k": 0.1, "vocab": 64.0}
 
 
-def score_texts_batch(model: dict, texts) -> np.ndarray:
-    """Bits/char for a whole batch in one pass: the tri/bi-gram hashes
-    roll over the Arrow UTF-8 data buffer of the "  t "-padded batch
-    (windows crossing text boundaries dropped by a vectorized gather),
-    and per-text means come from one ``add.reduceat`` — the per-text
-    :func:`score_text` loop spent ~50 µs/row in numpy call overhead.
+def score_texts_batch(model: dict, texts, grams: CaptionGrams | None = None
+                      ) -> np.ndarray:
+    """Bits/char for a whole batch in one pass over the batch's
+    :class:`CaptionGrams` (``grams`` when the caller shares one, else
+    built from ``texts``): the tri/bi-gram hashes are its rolling hashes
+    of every ``"  t "`` buffer position, each position's -log2 P is
+    computed once, and per-text means come from one ``add.reduceat``
+    over each row's windows (the windows that cross into the next row
+    are the gaps between them) — the per-text :func:`score_text` loop
+    spent ~50 µs/row in numpy call overhead. ``""`` and None score inf.
 
-    ``texts`` may be a ``pa.Array``/``pa.ChunkedArray`` (fast path: no
-    Python strings materialized) or any sequence. When ``dim`` is a
-    power of two ≤ 2^32 the rolling hash runs in uint32 —
-    bucket-identical to the uint64 form because ``% dim`` depends only
-    on the low bits (pinned by ``test_ppl_arrow_matches_list_path``).
-    Per-position probabilities are identical to ``score_text``; the
-    per-text mean differs only in float summation order (≤ ~1 ulp)."""
-    import pyarrow.compute as pc
+    ``texts`` may be a ``pa.Array``/``pa.ChunkedArray`` (no Python
+    strings materialized) or any sequence. When ``dim`` is a power of
+    two ≤ 2^32 the rolling hash runs in uint32 — bucket-identical to
+    the uint64 form because ``% dim`` depends only on the low bits
+    (pinned by ``test_ppl_arrow_matches_list_path``). Per-position
+    probabilities are identical to ``score_text``; the per-text mean
+    differs only in float summation order (≤ ~1 ulp)."""
+    g = CaptionGrams(texts) if grams is None else grams
+    return np.concatenate([_block_scores(model, b) for _, b in g.blocks()])
 
-    if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
-        texts = pa.array([None if t is None else str(t) for t in texts],
-                         type=pa.string())
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    m = len(texts)
-    scores = np.full(m, np.inf, dtype=np.float64)
-    if m == 0:
-        return scores
+
+def _block_scores(model: dict, g: CaptionGrams) -> np.ndarray:
+    """Bits/char of each row of ``g`` (see :func:`score_texts_batch`)."""
+    scores = np.full(g.m, np.inf, dtype=np.float64)
     dim, order, k, V = model["dim"], model["order"], model["k"], model["vocab"]
-    # old semantics: falsy texts ("" or None) score inf -> null them out
-    # so they contribute zero padded bytes / zero windows
-    masked = pc.if_else(pc.equal(texts, ""), pa.scalar(None, pa.string()),
-                        texts)
-    lowered = pc.utf8_lower(masked)
-    padded = pc.binary_join_element_wise(
-        pa.scalar(" "), lowered, pa.scalar(""), pa.scalar(" "))
-    padded = padded.fill_null("")
-    if isinstance(padded, pa.ChunkedArray):
-        padded = padded.combine_chunks()
-    off_dt = np.int64 if pa.types.is_large_string(padded.type) else np.int32
-    bufs = padded.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dt)[
-        padded.offset: padded.offset + m + 1].astype(np.int64)
-    arr = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    lens = offs[1:] - offs[:-1]
-    if int(offs[-1]) < order:
-        return scores
-    fast = dim > 0 and (dim & (dim - 1)) == 0 and dim <= (1 << 32)
-
-    def roll_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(n)-gram and (n-1)-gram bucket streams in one sweep: the
-        n-gram hash extends the (n-1)-gram hash by one step (same
-        recurrence), so the pair costs n+1 vector passes, not 2n-1."""
-        total = int(offs[-1])
-        with np.errstate(over="ignore"):
-            if fast:
-                h = arr[: total - n + 2].astype(np.uint32)
-                for j in range(1, n - 1):
-                    h = h * np.uint32(1000003) + arr[j: total - n + 2 + j]
-                lo = h & np.uint32(dim - 1)          # (n-1)-gram buckets
-                h = (h[: total - n + 1] * np.uint32(1000003)
-                     + arr[n - 1: total])
-                return h & np.uint32(dim - 1), lo
-            h = arr[: total - n + 2].astype(np.uint64)
-            for j in range(1, n - 1):
-                h = h * _P + arr[j: total - n + 2 + j]
-            lo = (h % np.uint64(dim)).astype(np.int64)
-            h = h[: total - n + 1] * _P + arr[n - 1: total]
-            return (h % np.uint64(dim)).astype(np.int64), lo
-
-    h3_all, h2_all = roll_pair(order)
-    # int32 index temps: window counts and buffer offsets are < 2^31
-    # for any sane batch (guarded), and the three occurrence-length
-    # temps are real memory traffic at full worker width
-    counts = np.maximum(lens - order + 1, 0).astype(np.int32)
-    co = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(counts, out=co[1:])
-    keep = np.flatnonzero(counts > 0)
+    # a padded empty text is 3 bytes and a null none: neither is scored
+    counts = np.where(g.lens > 3, np.maximum(g.lens - order + 1, 0), 0)
+    keep = np.flatnonzero(counts)
     if not len(keep):
         return scores
-    if int(offs[-1]) > np.iinfo(np.int32).max:
-        raise ValueError("batch text buffer exceeds 2 GiB; split the batch")
-    idx = (np.arange(int(co[-1]), dtype=np.int32)
-           - np.repeat(co[:-1], counts)
-           + np.repeat(offs[:-1].astype(np.int32), counts))
+    narrow = narrow_dim(dim)
+    h3 = g.hashes(order, wide=not narrow)
+    h2 = g.hashes(order - 1, wide=not narrow)[: len(h3)]
+    if narrow:
+        b3, b2 = h3 & np.uint32(dim - 1), h2 & np.uint32(dim - 1)
+    else:
+        b3, b2 = h3 % np.uint64(dim), h2 % np.uint64(dim)
     # explicit float64 upcast after the gather: the tables may be held
     # in (exactly-representable) float32 for cache footprint, and a
     # float32 + python-float would otherwise stay float32
-    p = ((model["tri"][h3_all[idx]].astype(np.float64) + k)
-         / (model["bi"][h2_all[idx]].astype(np.float64) + k * V))
-    logs = -np.log2(p)
-    sums = np.add.reduceat(logs, co[:-1][keep])
-    scores[keep] = sums / counts[keep]
+    p = ((model["tri"][b3].astype(np.float64) + k)
+         / (model["bi"][b2].astype(np.float64) + k * V))
+    # one trailing slot so a window run ending at the buffer's last
+    # position still has an end index
+    logs = np.empty(len(p) + 1, dtype=np.float64)
+    np.log2(p, out=logs[:-1])
+    logs[-1] = 0.0
+    # [start, end) of each scored row's windows; the odd segments of
+    # the reduceat are the gaps between rows and are dropped
+    bounds = np.empty(2 * len(keep), dtype=np.intp)
+    bounds[0::2] = g.offs[:-1][keep]
+    bounds[1::2] = bounds[0::2] + counts[keep]
+    sums = np.add.reduceat(logs, bounds)[0::2]
+    # -(a + b) == (-a) + (-b) exactly, so negating the sums equals
+    # summing the negated logs
+    scores[keep] = -sums / counts[keep]
     return scores
 
 
@@ -178,7 +148,9 @@ class PerplexityScorer:
     """Task stage: adds ``ppl`` (bits/char) and optionally
     ``rule_high_perplexity``. The count tables ship once per worker via
     the ObjectRef (callers cache the scorer per worker process);
-    per-batch work is numpy table lookups."""
+    per-batch work is numpy table lookups. A caller that already holds
+    the batch's :class:`CaptionGrams` of ``text_col`` passes it as
+    ``grams`` (the flagship's fused stage shares one with langid)."""
 
     def __init__(self, model_ref, text_col: str = "caption_trimmed",
                  max_ppl: float | None = None):
@@ -197,8 +169,9 @@ class PerplexityScorer:
         self.text_col = text_col
         self.max_ppl = max_ppl
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        scores = score_texts_batch(self.model, batch[self.text_col])
+    def __call__(self, batch: pa.Table,
+                 grams: CaptionGrams | None = None) -> pa.Table:
+        scores = score_texts_batch(self.model, batch[self.text_col], grams)
         # inf (empty text) -> large sentinel; such rows are already
         # dropped by null_blank, keep the column finite for Arrow/SQL.
         scores = np.where(np.isfinite(scores), scores, 999.0)

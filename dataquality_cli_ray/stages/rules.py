@@ -84,14 +84,11 @@ class HeuristicRules:
             pc.invert(null_blank),
             pc.or_(pc.less(ln, cfg.min_len), pc.greater(ln, cfg.max_len)),
         )
-        alpha = T.alpha_ratio(trimmed)
-        digit = T.digit_ratio(trimmed)
+        alpha, digit = T.char_class_ratios(trimmed, ln)
         char_class = pc.and_(
             pc.invert(null_blank),
-            pc.or_(
-                pc.less(alpha, cfg.min_alpha_ratio),
-                pc.greater(digit, cfg.max_digit_ratio),
-            ),
+            pa.array((alpha < cfg.min_alpha_ratio)
+                     | (digit > cfg.max_digit_ratio)),
         )
         out = batch.append_column("caption_trimmed", trimmed)
         out = out.append_column("rule_null_blank", null_blank)

@@ -45,6 +45,28 @@ def test_align_batch_split_invariance():
     assert np.array_equal(a, b, equal_nan=True)   # bit-identical
 
 
+def test_align_payload_layouts_equal_one_chunk():
+    """The image tower walks the payload chunks in place: four chunks
+    with their own buffers, a slice at a non-zero offset and
+    large_binary score as the one-chunk column does."""
+    t = _mk_rows(96).combine_chunks()
+    n = t.num_rows
+    cuts = [0, n // 5, n // 2, n - 5, n]
+    four = pa.concat_tables([
+        pa.Table.from_pylist(t.slice(a, b - a).to_pylist(), schema=t.schema)
+        for a, b in zip(cuts, cuts[1:])])
+    assert four["bytes"].num_chunks == 4
+    large = t.set_column(1, "bytes", t["bytes"].cast(pa.large_binary()))
+    stage = CaptionAlignStage(threshold=0.05)
+    want = stage(t).select(["align_score", "keep_align"])
+    assert want["keep_align"].to_pylist().count(True) > 0
+    for name, lay in [("four_chunks", four), ("large_binary", large)]:
+        got = stage(lay).select(["align_score", "keep_align"])
+        assert got.to_pylist() == want.to_pylist(), name
+    got = stage(t.slice(7)).select(["align_score", "keep_align"])
+    assert got.to_pylist() == want.slice(7).to_pylist()
+
+
 def test_align_matches_scalar_reference():
     """Vectorized stage == straightforward per-row implementation."""
     t = _mk_rows(32)

@@ -104,3 +104,38 @@ def test_one_file_or_four_files_same_output(ray_session, images_path,
     a, b = run(one), run(four)
     assert len(a) == 600
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_cached_footers_start_no_thread(tmp_path, monkeypatch):
+    """Footers come from the cache first: a call whose files are all
+    cached starts no thread, and a call with misses reads only those."""
+    import threading
+
+    import pyarrow as pa
+
+    files = []
+    for i in range(8):
+        f = str(tmp_path / f"part-{i}.parquet")
+        pq.write_table(pa.table({"x": list(range(i + 1))}), f)
+        files.append(f)
+    first = R._footers(files)
+    assert [m.num_rows for m in first] == list(range(1, 9))
+    read = []
+    real_read = pq.read_metadata
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    def counting_read(f, *a, **k):
+        read.append(f)
+        return real_read(f, *a, **k)
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(pq, "read_metadata", counting_read)
+    again = R._footers(files)
+    assert all(a is b for a, b in zip(again, first)) and not read
+    monkeypatch.undo()
+    monkeypatch.setattr(pq, "read_metadata", counting_read)
+    pq.write_table(pa.table({"x": list(range(20))}), files[3])
+    assert R._footers(files)[3].num_rows == 20
+    assert read == [files[3]]

@@ -191,6 +191,17 @@ def _roll(data: np.ndarray, n: int, wide: bool) -> list[np.ndarray]:
     return hs
 
 
+def lower(texts) -> "pa.Array | pa.ChunkedArray":
+    """Arrow's ``utf8_lower`` of a text column or a ``str``/``None``
+    sequence: the char-n-gram models' one lowering, for training, batch
+    and per-text scoring alike. A simple case mapping ('İ' -> 'i', final
+    'Σ' -> 'σ'), where Python's ``str.lower`` is context-sensitive."""
+    if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
+        texts = pa.array([None if t is None else str(t) for t in texts],
+                         type=pa.string())
+    return pc.utf8_lower(texts)
+
+
 class CaptionGrams:
     """The char-n-gram material of one text column, built once per batch
     and shared by every scorer that reads the column (the flagship's
@@ -208,22 +219,15 @@ class CaptionGrams:
 
     ``texts`` may be a ``pa.Array``/``pa.ChunkedArray`` of ``string`` or
     ``large_string`` (no Python string is made) or a sequence of
-    ``str``/``None``. Lowering happens in Arrow for every input, so the
-    buckets cannot diverge on edge-case Unicode case mappings: Arrow's
-    ``utf8_lower`` uses simple case mapping (U+0130 'İ' -> 'i', final
-    sigma stays 'σ') where Python's ``str.lower`` is context-sensitive.
-    Training and scoring share this buffer, so bucket assignment is
-    always self-consistent."""
+    ``str``/``None``; every input is lowered by :func:`lower`."""
 
     def __init__(self, texts):
-        if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
-            texts = pa.array([None if t is None else str(t) for t in texts],
-                             type=pa.string())
+        texts = lower(texts)
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
         sp, empty = pa.scalar(" ", texts.type), pa.scalar("", texts.type)
         padded = pc.binary_join_element_wise(
-            sp, pc.utf8_lower(texts), empty, sp).fill_null("")
+            sp, texts, empty, sp).fill_null("")
         m = len(padded)
         offs = np.zeros(1, dtype=np.int64)
         data = np.empty(0, dtype=np.uint8)

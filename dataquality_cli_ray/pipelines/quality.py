@@ -1,23 +1,24 @@
 """Flagship pipeline: language-ID + quality-filter + PII/toxicity-scrub
 over image+caption tables (BASELINE.json north rule).
 
-Stage graph (all lazy, streaming, backpressured; Ray fuses it into ONE
-operator, one task per work unit of ~total rows / (2 × CPUs) rows):
+Stage graph (all lazy, streaming, backpressured): ONE map step, one
+task per work unit of ~total rows / CPUs rows:
 
-    read units (row groups, from footers)       source tasks
-      → QualityFusedStage                       rules → decode → drop bytes
+    work units (row groups, from footers)       from_items, one per block
+      → _label_task_fn, per batch of the unit's pieces (≤ PIECE_MAX_BYTES):
+          read                                  pyarrow, the unit's row groups
+          QualityFusedStage                     rules → decode → drop bytes
                                                 → langid → perplexity → scrub
-                                                (tasks w/ per-worker model
-                                                cache)
-      → mark dup + finalize_decision            resolved loser map
+          mark dup + finalize_decision          resolved loser map
 
 The dup pre-pass (a column-pruned scan of (phash, image_id) that never
 touches image bytes) runs FIRST, in the calling process: the main pass
 then starts with the resolved loser map. Up to 1 M footer rows it starts
-no Ray job at all — pyarrow reads the two columns and one ``group_by``
-resolves the map; above that, a per-batch pre-aggregation (one row per
-phash per batch, bounding a hot phash's group to ≤ #blocks — the
-combiner playing the role of salted two-phase groupby) feeds a
+no Ray job at all — pyarrow reads the two columns, ``np.unique`` counts
+the keys and a ``group_by`` of the dup rows picks the winners; above
+that, a per-batch pre-aggregation (one row per phash per batch, bounding
+a hot phash's group to ≤ #blocks — the combiner playing the role of
+salted two-phase groupby) feeds a
 hash-partitioned task reduce (reference analogue: dedup is a *(doc
 claim)* at ``CLAUDE.md:27``; the groupby-keep-first shape is SURVEY.md
 §2.7/A10).
@@ -41,6 +42,7 @@ Scale notes (100 TB):
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pyarrow as pa
@@ -93,19 +95,13 @@ def build_models(seed: int = 42) -> tuple[dict, dict]:
     return langid, ppl
 
 
-class _DupCombiner:
+def _dup_combine(batch: pa.Table, *, key_col: str, id_col: str) -> pa.Table:
     """Per-batch pre-aggregation for dedup: one (key, winner, cnt) row
     per distinct key per batch — the combiner that defuses hot keys.
     The count is of the KEY, so null keys never count as duplicates."""
-
-    def __init__(self, key_col: str = "phash", id_col: str = "image_id"):
-        self.key_col, self.id_col = key_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        g = batch.group_by(self.key_col).aggregate(
-            [(self.id_col, "min"), (self.key_col, "count")]
-        )
-        return g.rename_columns([self.key_col, "winner", "cnt"])
+    g = batch.group_by(key_col).aggregate([(id_col, "min"),
+                                           (key_col, "count")])
+    return g.rename_columns([key_col, "winner", "cnt"])
 
 
 def _int_keys(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -275,11 +271,22 @@ def dup_losers_from_refs(refs: list, key_col: str = "phash",
 def dup_losers_from_table(t: pa.Table, key_col: str = "phash",
                           id_col: str = "image_id") -> tuple:
     """The dup-loser map of an in-memory table holding ``key_col`` and
-    ``id_col``: one ``group_by`` in the calling process (null keys are
-    never dups)."""
-    g = t.group_by(key_col).aggregate([(id_col, "min"), (key_col, "count")])
-    g = g.filter(pc.greater(g[f"{key_col}_count"], 1))
-    return _winner_merge_local(g, key_col, f"{id_col}_min")
+    ``id_col``, in the calling process: ``np.unique`` counts the int64
+    keys (null keys are never dups), then the min id is taken over the
+    dup rows only — equal to one ``group_by`` of (min id, count) over
+    every row (pinned in tests), in a quarter of its time or less."""
+    col = t[key_col]
+    keys = _int_keys(col)
+    if col.null_count:
+        keys = keys[pc.is_valid(col).to_numpy(zero_copy_only=False)]
+    keys, counts = np.unique(keys, return_counts=True)
+    keys = keys[counts > 1]
+    if not len(keys):
+        return _empty_lookup()
+    rows = pa.array(np.flatnonzero(_dup_key_hits(col, keys)[1]))
+    return _winner_merge_local(
+        pa.table({key_col: col.take(rows), "winner": t[id_col].take(rows)}),
+        key_col)
 
 
 def phash_dup_losers(source, key_col: str = "phash",
@@ -295,8 +302,9 @@ def phash_dup_losers(source, key_col: str = "phash",
     - "auto": "driver" up to DUP_SHUFFLE_THRESHOLD_ROWS footer rows,
       else — and for inputs with no parquet file list (Lance) —
       "partitioned".
-    - "driver": no Ray job. pyarrow reads the two columns in the calling
-      process and :func:`dup_losers_from_table` resolves the map:
+    - "driver": no Ray job. pyarrow reads the two columns of each file in
+      the calling process and :func:`dup_losers_from_table` resolves
+      the map:
       O(#rows) memory for two columns, the fast path while they fit one
       machine (measured on 1 CPU against the three Ray executions it
       replaced: 0.011 vs 0.24 s at 8,192 rows, 0.58 vs 1.35 s at 1 M
@@ -332,8 +340,10 @@ def phash_dup_losers(source, key_col: str = "phash",
                              f"{source!r} has none")
         import pyarrow.parquet as pq
 
-        return dup_losers_from_table(
-            pq.read_table(files, columns=[key_col, id_col]), key_col, id_col)
+        # per-file reads skip read_table's discovery: 19 vs 40 ms, 64 files
+        return dup_losers_from_table(pa.concat_tables(
+            [pq.ParquetFile(f).read(columns=[key_col, id_col]) for f in files],
+            promote_options="permissive"), key_col, id_col)
     # The read is PACKED into ~2 tasks/CPU: inputs written with small
     # bounded files (the fused-read layout) would otherwise spawn one
     # tiny per-file task whose open/footer overhead dominates a
@@ -345,8 +355,10 @@ def phash_dup_losers(source, key_col: str = "phash",
         nb = min(nb, len(files))
     combined = read_table(
         files or source, columns=[key_col, id_col], override_num_blocks=nb,
-    ).map_batches(_DupCombiner(key_col, id_col), batch_format="pyarrow",
-                  batch_size=65536, zero_copy_batch=True)
+    ).map_batches(_dup_combine, fn_kwargs={"key_col": key_col,
+                                           "id_col": id_col},
+                  batch_format="pyarrow", batch_size=65536,
+                  zero_copy_batch=True)
     return dup_losers_from_refs(block_refs(combined), key_col, id_col)
 
 
@@ -462,44 +474,72 @@ class QualityFusedStage:
         return out
 
 
-# per-WORKER-PROCESS caches: Ray reuses worker processes across tasks,
-# so state keyed by the objects' refs loads once per worker — actor
-# `__init__` semantics without a fixed pool (see module docstring).
-_STAGE_CACHE: dict = {}
-_DUP_CACHE: dict = {}
+# per-WORKER-PROCESS cache (actor `__init__` semantics without a fixed
+# pool): the fused stage and the loser map load once per worker and
+# plan, keyed on every ref and the whole config.
+_TASK_CACHE: dict = {}
 
 
-def _fused_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref) -> pa.Table:
-    key = (langid_ref.hex(), cfg.align_threshold,
-           cfg.min_image_px, cfg.max_aspect, cfg.min_contrast)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        stage = QualityFusedStage(cfg, langid_ref, ppl_ref)
-        _STAGE_CACHE[key] = stage
-        if len(_STAGE_CACHE) > 8:          # old model generations
-            for k in list(_STAGE_CACHE)[:-4]:
-                del _STAGE_CACHE[k]
-    return stage(batch)
+def _unit_batches(units: pa.Table, with_path: bool):
+    """The rows of the work units in ``units`` (one row per unit), read
+    piece by piece and joined into batches of at most PIECE_MAX_BYTES (a
+    piece over it alone), so a unit is never held whole. With
+    ``with_path`` each row gets a ``path`` column naming its file."""
+    import pyarrow.parquet as pq
+
+    from ..sources.readers import PIECE_MAX_BYTES
+
+    batch, size = [], 0
+    for f, g in zip(chain(*units["paths"].to_pylist()),
+                    chain(*units["row_groups"].to_pylist())):
+        t = pq.ParquetFile(f).read_row_groups(g)
+        if with_path:
+            t = t.append_column(
+                "path", pa.repeat(pa.scalar(f, pa.string()), t.num_rows))
+        if batch and size + t.nbytes > PIECE_MAX_BYTES:
+            yield pa.concat_tables(batch, promote_options="permissive")
+            batch, size = [], 0
+        batch.append(t)
+        size += t.nbytes
+    if batch and batch[0].num_rows:  # a no-row input's unit: label nothing
+        yield pa.concat_tables(batch, promote_options="permissive")
 
 
-def _mark_finalize_task_fn(batch: pa.Table, *, dup_ref, cfg) -> pa.Table:
-    key = dup_ref.hex()
-    lookup = _DUP_CACHE.get(key)
-    if lookup is None:
-        lookup = ray.get(dup_ref)
-        _DUP_CACHE.clear()
-        _DUP_CACHE[key] = lookup
-    out = finalize_decision(
-        _mark_dup(batch, *lookup, cfg.dedup_key, cfg.id_col))
-    # column selection folded in: a trailing select_columns would be
-    # another operator, and every operator dilutes the fused op's share
-    # under the executor's per-op resource reservation. A read's
-    # ``path`` column is kept (the CLI's in-task shard write routes rows
-    # by it).
-    cols = _out_cols(cfg)
-    if "path" in out.column_names:
-        cols.append("path")
-    return out.select(cols)
+def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
+                   units: bool = False, with_path: bool = False):
+    """The plan's one map step: label ``batch`` (with ``units``, each
+    batch :func:`_unit_batches` reads for the units it lists) with the
+    fused stage, dup marking and the keep/drop decision, yielding one
+    labeled table per batch; a ``path`` column is kept for the CLI."""
+    key = (langid_ref.hex(), ppl_ref.hex(), dup_ref.hex(), cfg)
+    if key not in _TASK_CACHE:
+        if len(_TASK_CACHE) >= 4:          # old plans' models
+            _TASK_CACHE.clear()
+        _TASK_CACHE[key] = (QualityFusedStage(cfg, langid_ref, ppl_ref),
+                            ray.get(dup_ref))
+    stage, lookup = _TASK_CACHE[key]
+    for t in _unit_batches(batch, with_path) if units else (batch,):
+        out = finalize_decision(
+            _mark_dup(stage(t), *lookup, cfg.dedup_key, cfg.id_col))
+        yield out.select(_out_cols(cfg) + (
+            ["path"] if "path" in out.column_names else []))
+
+
+def _label_step(ds: "rd.Dataset", dup_map: tuple, cfg: QualityConfig,
+                langid_model: dict | None, ppl_model: dict | None,
+                **units) -> "rd.Dataset":
+    """``ds`` with :func:`_label_task_fn` as one whole-block map step;
+    models (default: :func:`build_models`) and ``dup_map`` ship once."""
+    if langid_model is None or ppl_model is None:
+        lm, pm = build_models()
+        langid_model, ppl_model = langid_model or lm, ppl_model or pm
+    return ds.map_batches(
+        _label_task_fn,
+        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
+                   "ppl_ref": ray.put(ppl_model),
+                   "dup_ref": ray.put(dup_map), **units},
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
 
 
 def quality_pipeline(
@@ -509,29 +549,12 @@ def quality_pipeline(
     langid_model: dict | None = None,
     ppl_model: dict | None = None,
 ) -> "rd.Dataset":
-    """Assemble the flagship pipeline over an input Dataset: the fused
-    per-row model stage, then dup marking against ``dup_map`` (the loser
-    map from :func:`phash_dup_losers` or :func:`dup_losers_from_table`)
-    and the keep/drop decision, both as whole-block batches. The two
-    steps share their remote args, so Ray fuses them with the read into
-    one operator. The models ship once through the object store
-    (default: the seeded :func:`build_models`)."""
-    cfg = cfg or QualityConfig()
-    if langid_model is None or ppl_model is None:
-        lm, pm = build_models()
-        langid_model = langid_model or lm
-        ppl_model = ppl_model or pm
-    out = ds.map_batches(
-        _fused_task_fn,
-        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
-                   "ppl_ref": ray.put(ppl_model)},
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
-    return out.map_batches(
-        _mark_finalize_task_fn,
-        fn_kwargs={"dup_ref": ray.put(dup_map), "cfg": cfg},
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
+    """The flagship pipeline over any input Dataset (a Lance table, an
+    in-memory frame): ONE map step running the fused model stage, dup
+    marking against ``dup_map`` (from :func:`phash_dup_losers` or
+    :func:`dup_losers_from_table`) and the keep/drop decision."""
+    return _label_step(ds, dup_map, cfg or QualityConfig(), langid_model,
+                       ppl_model)
 
 
 def images_quality_pipeline(
@@ -544,25 +567,22 @@ def images_quality_pipeline(
 ) -> "rd.Dataset":
     """End-to-end over a parquet images table: the dup pre-pass runs
     FIRST (it scans only (phash, image_id); see
-    :func:`phash_dup_losers`), then the main pass gets the resolved
-    loser map and Ray fuses read → kernels → mark(+select) into ONE
-    operator. ``dedup_mode`` must be "staged", this plan (any other
-    value raises ``ValueError``).
+    :func:`phash_dup_losers`), then ONE map step reads, labels and marks
+    each work unit against the resolved loser map. ``dedup_mode`` must
+    be "staged", this plan (any other value raises ``ValueError``).
 
-    This plan was the fastest in every regime measured against the two
-    it replaced (4-CPU host, 512 MiB object store, dqbench image input,
-    identical output frames). One raw scan with the labels spilled to
-    parquet: 0.90 s vs this plan's 0.58 s at 8,192 rows / 1 CPU, 2.63 vs
-    1.45 s at 65,536 rows / 4 CPUs. Marking by a hash-partitioned join:
-    6.36 vs 0.25 s at 8,192 rows / 4 CPUs, and no finish at 1 CPU.
+    It beat the two plans it replaced in every regime measured (4-CPU
+    host, dqbench input): a raw scan with the labels spilled to parquet
+    (0.90 vs 0.58 s at 8,192 rows / 1 CPU) and marking by a join (6.36
+    vs 0.25 s at 8,192 rows / 4 CPUs).
 
     A parquet input is read in work units planned from its footers
-    (:func:`~..sources.readers.read_parquet_units`): about two per CPU,
-    large files split at row-group boundaries and small files packed
-    together, so neither the file count nor one large file sets the
-    task count. Both reads take the ``.parquet`` file list the footer
-    probe walked, so a stray non-parquet file in the input directory is
-    skipped, not read. A Lance input keeps Ray's reader.
+    (:func:`~..sources.readers.plan_units`): one per CPU, large files
+    split at row-group boundaries and small files packed together; the
+    plan is ``from_items`` (a unit per block) and the map step. Both
+    reads take the ``.parquet`` file list the footer probe walked, so a
+    stray non-parquet file in the input directory is skipped, not read.
+    A Lance input keeps Ray's reader and :func:`quality_pipeline`.
 
     ``pending`` (a subset of the input's files) makes the plan read only
     those files and adds a ``path`` column naming each row's file, while
@@ -573,14 +593,14 @@ def images_quality_pipeline(
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
     cfg = cfg or QualityConfig()
-    from ..sources.readers import read_parquet_units, read_table, table_rows
+    from ..sources.readers import parquet_units, read_table, table_rows
 
     # Two context settings scoped to this plan. Ray snapshots the
-    # DataContext when the read Dataset is created, so they are set
-    # before the read and restored once the plan is assembled:
-    # - a 32 MiB block-size cap: Ray's output buffer concatenates a
-    #   unit's pieces into blocks up to this size before the kernels
-    #   see them, so it bounds a task's in-flight decode buffers;
+    # DataContext when the source Dataset is created, so they are set
+    # before it and restored once the plan is assembled:
+    # - a 32 MiB block-size cap: Ray's output buffer joins the labeled
+    #   tables a task yields into blocks up to this size before a step
+    #   fused after it (the CLI's shard write) sees them;
     # - the streaming executor's per-op resource reservation is off: the
     #   plan is ONE operator, so the reservation buys nothing, yet it
     #   still withholds slots (measured 25.7 → 22.3 s at 25.6 M rows /
@@ -590,20 +610,23 @@ def images_quality_pipeline(
     ctx.target_max_block_size = min(prev[0] or (128 << 20), 32 << 20)
     ctx.op_resource_reservation_enabled = False
     try:
-        # the probe also seeds the footer cache the read plans from
+        # the probe also seeds the footer cache the units are planned from
         _, files = table_rows(input_path)
-        if files is not None:
-            ds = read_parquet_units(files if pending is None else pending,
-                                    cluster_cpus(),
-                                    with_path=pending is not None)
-        elif pending is None:
-            ds = read_table(input_path)          # lance: no file list
-        else:
+        if files is None and pending is not None:
             raise ValueError(f"pending= needs a parquet input; "
                              f"{input_path!r} has no file list")
         dup_map = phash_dup_losers(files or input_path, cfg.dedup_key,
                                    cfg.id_col)
-        return quality_pipeline(ds, dup_map, cfg, langid_model, ppl_model)
+        if files is None:
+            ds = read_table(input_path)          # lance: no file list
+            return _label_step(ds, dup_map, cfg, langid_model, ppl_model)
+        units = parquet_units(files if pending is None else pending,
+                              cluster_cpus())
+        ds = rd.from_items(
+            [{"paths": [f for f, _ in u], "row_groups": [g for _, g in u]}
+             for u in units], override_num_blocks=len(units))
+        return _label_step(ds, dup_map, cfg, langid_model, ppl_model,
+                           units=True, with_path=pending is not None)
     finally:
         ctx.target_max_block_size, ctx.op_resource_reservation_enabled = prev
 

@@ -385,7 +385,8 @@ def parquet_file_rows(files: list[str]) -> list[int]:
 
 # A unit holds at least UNIT_MIN_ROWS rows, so a run over many small
 # files packs them into a few tasks; a piece (the row groups one unit
-# reads from one file) holds at most PIECE_MAX_BYTES uncompressed.
+# reads from one file) holds at most PIECE_MAX_BYTES uncompressed, and
+# the quality plan's task labels a unit in batches of at most that size.
 # 4,096 rather than 1,024: at 4 CPUs over 8,192 rows in 8 files (2 vs 8
 # units) rows/s was the same, CPU per row 30 % and peak RSS 21 % lower.
 UNIT_MIN_ROWS = 4096
@@ -395,19 +396,19 @@ PIECE_MAX_BYTES = 32 << 20
 def plan_units(files: list[str], row_groups: list[list[tuple[int, int]]],
                cpus: int) -> list[list[tuple[str, list[int]]]]:
     """Work units for reading ``files``, whose row groups are
-    ``row_groups[i]`` = [(rows, uncompressed bytes), ...]: about two
-    units per CPU, each a list of ``(file, [row group index, ...])``
-    pieces.
+    ``row_groups[i]`` = [(rows, uncompressed bytes), ...]: one unit per
+    CPU, each a list of ``(file, [row group index, ...])`` pieces.
 
-    With the target T = max(UNIT_MIN_ROWS, ceil(total rows / (2 × cpus))),
+    With the target T = max(UNIT_MIN_ROWS, ceil(total rows / cpus)),
     each file splits at row-group boundaries into pieces of at most T
     rows and PIECE_MAX_BYTES (a single row group over either limit is a
     piece by itself), and consecutive pieces pack, in file order, into
     units of at most T rows. Row groups with no rows are skipped; when
     no row is left, one unit reads no row group of the first file, so
-    the read still has the input's schema."""
+    the read still has the input's schema. One unit per CPU, not two:
+    each task and each kernel call pays a fixed cost (CLAUDE.md)."""
     total = sum(r for groups in row_groups for r, _ in groups)
-    target = max(UNIT_MIN_ROWS, -(-total // (2 * max(1, cpus))))
+    target = max(UNIT_MIN_ROWS, -(-total // max(1, cpus)))
     pieces = []                                  # (file, groups, rows)
     for f, groups in zip(files, row_groups):
         cur, rows, size = [], 0, 0
@@ -435,41 +436,10 @@ def plan_units(files: list[str], row_groups: list[list[tuple[int, int]]],
     return units
 
 
-def _read_units(batch: "pa.Table", *, with_path: bool):
-    """Read each unit of ``batch`` (one row per unit, from
-    :func:`read_parquet_units`), yielding one table per piece, so a
-    unit is never read whole: Ray's output buffer joins the pieces into
-    blocks of up to the plan's ``target_max_block_size`` for the steps
-    fused after this one. With ``with_path`` each table gets a ``path``
-    column naming its file."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    for paths, groups in zip(batch["paths"].to_pylist(),
-                             batch["row_groups"].to_pylist()):
-        for f, g in zip(paths, groups):
-            t = pq.ParquetFile(f).read_row_groups(g)
-            if with_path:
-                t = t.append_column(
-                    "path", pa.repeat(pa.scalar(f, pa.string()), t.num_rows))
-            yield t
-
-
-def read_parquet_units(files: list[str], cpus: int,
-                       with_path: bool = False) -> "rd.Dataset":
-    """Local parquet ``files`` as a Dataset read in the work units that
-    :func:`plan_units` plans from their (cached) footers for ``cpus``
-    CPUs: ``from_items`` gives one block per unit and ONE map step reads
-    it, so the read fuses with the map steps that follow into one
-    operator (Ray's parquet read plans ``SplitBlocks`` below 200 files,
-    which never fuses). Columns come back as pyarrow reads them; with
-    ``with_path`` rows carry a ``path`` column naming their file."""
-    units = plan_units(files, [m.row_groups for m in _footers(files)], cpus)
-    items = [{"paths": [f for f, _ in u], "row_groups": [g for _, g in u]}
-             for u in units]
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        _read_units, fn_kwargs={"with_path": with_path},
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+def parquet_units(files: list[str], cpus: int) -> list:
+    """:func:`plan_units` for local parquet ``files`` at ``cpus`` CPUs,
+    from their footers (read at most once per process)."""
+    return plan_units(files, [m.row_groups for m in _footers(files)], cpus)
 
 
 def read_parquet_fast(path, columns: list[str] | None = None,

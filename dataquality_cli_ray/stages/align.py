@@ -46,6 +46,7 @@ import pyarrow as pa
 from ..functions import imagefake as IF
 from ..functions.arrays import binary_rows, row_prefixes
 from ..functions.wordgrams import word_ngram_hashes_batch
+from .image_stages import payload_blocks
 
 GRID = 4
 _FEAT = GRID * GRID * 3          # 48-d raw image signature
@@ -172,29 +173,26 @@ def _image_embed_batch(col, d: int, buckets: int, seed: int
     ok[good] = True
     shape_keys = h_of * 65536 + w_of
     for key in np.unique(shape_keys):
-        sel = shape_keys == key
-        idxs = good[sel]
-        hh, ww = int(key >> 16), int(key & 0xFFFF)
-        k, hw3 = len(idxs), hh * ww * 3
-        flat = np.empty((k, hw3), dtype=np.uint8)
-        for j, (c, s) in enumerate(zip(cid[idxs].tolist(),
-                                       (start[idxs] + 9).tolist())):
-            flat[j] = datas[c][s: s + hw3]
-        px = flat.reshape(k, hh, ww, 3)
-        if hh < GRID:      # tiny images: nearest-upsample to grid size
-            px = np.repeat(px, -(-GRID // hh), axis=1)
-        if ww < GRID:
-            px = np.repeat(px, -(-GRID // ww), axis=2)
-        hh, ww = px.shape[1], px.shape[2]
-        cs = _grid_cell_sums(px)                    # exact int64
-        ycnt = np.diff(np.append((np.arange(GRID) * hh) // GRID, hh))
-        xcnt = np.diff(np.append((np.arange(GRID) * ww) // GRID, ww))
-        area = (ycnt[:, None] * xcnt[None, :]).astype(np.float64)
-        mean = cs / area[None, :, :, None]          # float64, exact in
-        feat = ((mean - 127.5) / 127.5).astype(np.float32).reshape(k, _FEAT)
-        e = np.einsum("ik,kj->ij", feat, p_img)     # no-BLAS projection
-        norm = np.sqrt(np.einsum("ij,ij->i", e, e))
-        emb[idxs] = e / np.maximum(norm, np.float32(1e-12))[:, None]
+        idxs = good[shape_keys == key]
+        h, w = int(key >> 16), int(key & 0xFFFF)
+        for j0, flat in payload_blocks(datas, cid, start, idxs, h * w * 3):
+            px = flat.reshape(len(flat), h, w, 3)
+            if h < GRID:   # tiny images: nearest-upsample to grid size
+                px = np.repeat(px, -(-GRID // h), axis=1)
+            if w < GRID:
+                px = np.repeat(px, -(-GRID // w), axis=2)
+            hh, ww = px.shape[1], px.shape[2]
+            cs = _grid_cell_sums(px)                    # exact int64
+            ycnt = np.diff(np.append((np.arange(GRID) * hh) // GRID, hh))
+            xcnt = np.diff(np.append((np.arange(GRID) * ww) // GRID, ww))
+            area = (ycnt[:, None] * xcnt[None, :]).astype(np.float64)
+            mean = cs / area[None, :, :, None]          # float64, exact in
+            feat = ((mean - 127.5) / 127.5).astype(np.float32).reshape(
+                len(flat), _FEAT)
+            e = np.einsum("ik,kj->ij", feat, p_img)     # no-BLAS projection
+            norm = np.sqrt(np.einsum("ij,ij->i", e, e))
+            emb[idxs[j0: j0 + len(flat)]] = \
+                e / np.maximum(norm, np.float32(1e-12))[:, None]
     return emb, ok
 
 

@@ -37,6 +37,31 @@ SCRATCH_TARGET_BYTES = 1 << 20
 _SCRATCH: dict = {}
 
 
+def payload_blocks(datas, cid, start, idxs, hw3: int):
+    """``(j0, flat)`` over the FIMG payloads of rows ``idxs`` (one shape
+    group of ``hw3`` pixel bytes; ``cid``/``start`` from ``binary_rows``)
+    in blocks of about SCRATCH_TARGET_BYTES: ``flat`` is a (rows, hw3)
+    view of the per-worker scratch slab holding rows ``idxs[j0:
+    j0 + len(flat)]`` until the next block. One slice copy per row (a
+    fancy-index gather: 10.6 vs 0.9 us/row); a whole-group buffer (MBs)
+    spills to DRAM, adding 3 shared-bus passes over the payload (the
+    bus set the 8-vs-32 CPU scaling ratio, BASELINE.md round-4)."""
+    k = len(idxs)
+    sub = max(1, SCRATCH_TARGET_BYTES // hw3)
+    buf = _SCRATCH.get(hw3)
+    if buf is None or buf.shape[0] < min(k, sub):
+        if len(_SCRATCH) >= 16:   # bound worker memory across
+            _SCRATCH.clear()      # many distinct image shapes
+        buf = _SCRATCH[hw3] = np.empty((min(k, sub), hw3), dtype=np.uint8)
+    cids, starts9 = cid[idxs].tolist(), (start[idxs] + 9).tolist()
+    for j0 in range(0, k, sub):
+        flat = buf[: min(sub, k - j0)]
+        for j, (c, s) in enumerate(zip(cids[j0: j0 + sub],
+                                       starts9[j0: j0 + sub])):
+            flat[j] = datas[c][s: s + hw3]
+        yield j0, flat
+
+
 class DecodeImageStage:
     """Decode + validate payloads in two parts.
 
@@ -181,43 +206,18 @@ class DecodeImageStage:
             sel = shape_keys == key
             idxs = good[sel]
             h, w = int(key >> 16), int(key & 0xFFFF)
-            k = len(idxs)
             hw3 = h * w * 3
-            # per-row slice-copy into a reused CACHE-RESIDENT scratch
-            # slab, processed ≤ ~256 KB of rows at a time: a 2-D
-            # fancy-index gather materializes an int64 index array 8x
-            # the payload (measured 10.6 vs 0.9 us/row), and a
-            # whole-group scratch (MBs) spills to DRAM, turning its
-            # write + two kernel reads into 3 extra shared-bus passes
-            # over the payload — the bus, not CPU, sets the 8-vs-32
-            # scaling ratio on one host (BASELINE.md round-4). Chunked,
-            # the scratch stays in L2 and the only DRAM traffic is the
-            # single payload read. The sum/einsum reductions use
-            # numpy's buffered iteration (no int64 temp), and per-chunk
-            # results are exact integer sums — bit-identical output.
-            sub = max(1, SCRATCH_TARGET_BYTES // hw3)
-            buf = _SCRATCH.get(hw3)
-            rows_cap = min(k, sub)
-            if buf is None or buf.shape[0] < rows_cap:
-                if len(_SCRATCH) >= 16:   # bound worker memory across
-                    _SCRATCH.clear()      # many distinct image shapes
-                buf = np.empty((rows_cap, hw3), dtype=np.uint8)
-                _SCRATCH[hw3] = buf
+            # one scratch block at a time (payload_blocks); the sum and
+            # einsum reductions use numpy's buffered iteration (no int64
+            # temp), and per-block results are exact integer sums
             npix = hw3
             ys = (np.arange(8) * h // 8).clip(0, h - 1)
             xs = (np.arange(8) * w // 8).clip(0, w - 1)
             # the same 8x8 pixel grid sample as the per-image form
             samp = ((ys[:, None] * w + xs[None, :]) * 3).reshape(-1)
             samp = (samp[:, None] + np.arange(3)).reshape(-1)
-            starts9 = (start[idxs] + 9).tolist()
-            cids = cid[idxs].tolist()
-            for j0 in range(0, k, sub):
-                j1 = min(j0 + sub, k)
-                flat = buf[: j1 - j0]
-                for j, (c, s) in enumerate(zip(cids[j0:j1],
-                                               starts9[j0:j1])):
-                    flat[j] = datas[c][s: s + hw3]
-                ids = idxs[j0:j1]
+            for j0, flat in payload_blocks(datas, cid, start, idxs, hw3):
+                ids = idxs[j0: j0 + len(flat)]
                 # exact integer sums on the uint8 pixels (no float32
                 # expansion); mean/std from the exact sums in float64:
                 # population std = sqrt(E[x^2] - E[x]^2)

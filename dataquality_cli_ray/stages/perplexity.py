@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.text import CaptionGrams, narrow_dim
+from ..functions.text import CaptionGrams, lower, narrow_dim
 
 _P = np.uint64(1000003)
 
@@ -42,14 +42,15 @@ def _hash_grams(b: np.ndarray, n: int, dim: int) -> np.ndarray:
 def train_char_lm(texts, dim: int = 1 << 18, order: int = 3) -> dict:
     """Count tables for the trigram LM from an iterable of texts, in
     whole-corpus passes: every non-empty text is encoded once as
-    ``"  t "`` (lowered, utf-8), the concatenation is hashed once per
-    gram order, windows that cross a text boundary are dropped, and
-    ``np.unique`` counts the rest. The counts are then scattered into
-    ``np.zeros(dim)``, which touches only the pages of buckets that
-    occur: a dense ``bincount(minlength=dim)`` would make both 2 MiB
-    tables resident in every process that builds the model. The tables
-    equal the per-text ``np.add.at`` counts exactly."""
-    enc = [f"  {t.lower()} ".encode("utf-8", "ignore") for t in texts if t]
+    ``"  t "`` (utf-8, lowered by ``text.lower`` as the scorers are),
+    the concatenation is hashed once per gram order, windows that cross
+    a text boundary are dropped, and ``np.unique`` counts the rest. The
+    counts are then scattered into ``np.zeros(dim)``, which touches only
+    the pages of buckets that occur: a dense ``bincount(minlength=dim)``
+    would make both 2 MiB tables resident in every process that builds
+    the model. The tables equal the per-text ``np.add.at`` counts."""
+    enc = [f"  {t} ".encode("utf-8", "ignore")
+           for t in lower([t for t in texts if t]).to_pylist()]
     buf = np.frombuffer(b"".join(enc), dtype=np.uint8)
     ends = np.cumsum([len(e) for e in enc], dtype=np.int64)
     tables = []
@@ -130,11 +131,13 @@ def _block_scores(model: dict, g: CaptionGrams) -> np.ndarray:
 
 
 def score_text(model: dict, text: str) -> float:
-    """Bits/char of one text under the model (add-k smoothing)."""
+    """Bits/char of one text under the model (add-k smoothing): the
+    per-text oracle of :func:`score_texts_batch`, lowered alike."""
     if not text:
         return float("inf")
     dim, order, k, V = model["dim"], model["order"], model["k"], model["vocab"]
-    b = np.frombuffer(f"  {text.lower()} ".encode("utf-8", "ignore"), dtype=np.uint8)
+    t = lower([text])[0].as_py()
+    b = np.frombuffer(f"  {t} ".encode("utf-8", "ignore"), dtype=np.uint8)
     h3 = _hash_grams(b, order, dim)
     h2 = _hash_grams(b, order - 1, dim)[: len(h3)]
     if len(h3) == 0:

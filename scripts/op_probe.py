@@ -1,0 +1,138 @@
+"""Fixed cost of one flagship op: plan, drain, tasks and Ray's floor.
+
+Writes a ``fixtures.images.gen_rows`` input (``--files`` uncompressed
+parquet files of ``--rows`` rows) to a temporary directory, starts a
+local Ray session at ``--cpus`` CPUs, and runs ``--ops`` flagship ops
+after one warm-up op. An op is what dqbench's ``flagship`` times: the
+``images_quality_pipeline`` call (the plan: footer probe, dup pre-pass,
+unit plan) and a drain of its output to the driver. Prints the median
+and interquartile range of:
+
+- ``plan ms`` and ``drain ms``;
+- ``tasks``: the tasks the executed plan ran (all operators after its
+  input), and ``udf ms``: Ray's stats' total UDF time of those tasks;
+- ``floor ms``: the drain of an empty plan of the same shape
+  (``from_items`` of as many one-row blocks as the op ran tasks, then
+  one ``map_batches`` that returns its batch), which is Ray's own fixed
+  cost of a plan of that many tasks.
+
+    python scripts/op_probe.py [--cpus 1] [--ops 30] [--files 8]
+        [--rows 1024] [--seed 7]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import statistics
+import sys
+import tempfile
+import time
+
+import numpy as np
+import pyarrow.parquet as pq
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from dataquality_cli_ray.fixtures.images import gen_rows  # noqa: E402
+
+
+def write_input(d: str, files: int, rows: int, seed: int) -> str:
+    for i in range(files):
+        ids = np.arange(i * rows, (i + 1) * rows)
+        pq.write_table(gen_rows(ids, files * rows, seed),
+                       os.path.join(d, f"part-{i:05d}.parquet"),
+                       compression="none")
+    return d
+
+
+def executed(ds) -> tuple[int, float]:
+    """(tasks, UDF ms) summed over the operators after the input."""
+    tasks, udf = 0, 0.0
+    mult = {"s": 1e3, "ms": 1.0, "us": 1e-3}
+    for block in ds.stats().split("Operator ")[1:]:
+        head = block.split("\n", 1)[0]
+        if head.split(":", 1)[0].split(" ", 1)[-1] in ("Input", "FromItems"):
+            continue
+        m = re.search(r": (\d+) tasks executed", head)
+        tasks += int(m.group(1)) if m else 0
+        m = re.search(r"UDF time: .*?([0-9.]+)(ms|s|us) total", block)
+        udf += float(m.group(1)) * mult[m.group(2)] if m else 0.0
+    return tasks, udf
+
+
+def _identity(batch):
+    return batch
+
+
+def floor_ms(tasks: int) -> float:
+    import ray.data as rd
+
+    t0 = time.perf_counter()
+    ds = rd.from_items([{"i": i} for i in range(tasks)],
+                       override_num_blocks=tasks).map_batches(
+        _identity, batch_format="pyarrow", batch_size=None)
+    for _ in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        pass
+    return (time.perf_counter() - t0) * 1e3
+
+
+def one_op(path: str, cfg, lm, pm) -> dict:
+    from dataquality_cli_ray.pipelines import quality as Q
+
+    t0 = time.perf_counter()
+    ds = Q.images_quality_pipeline(path, cfg, langid_model=lm, ppl_model=pm)
+    t1 = time.perf_counter()
+    rows = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow",
+                                                   batch_size=None))
+    t2 = time.perf_counter()
+    tasks, udf = executed(ds)
+    return {"plan ms": (t1 - t0) * 1e3, "drain ms": (t2 - t1) * 1e3,
+            "tasks": tasks, "udf ms": udf, "floor ms": floor_ms(tasks),
+            "rows": rows}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--cpus", type=int, default=1)
+    ap.add_argument("--ops", type=int, default=30)
+    ap.add_argument("--files", type=int, default=8)
+    ap.add_argument("--rows", type=int, default=1024)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+
+    import ray
+    import ray.data as rd
+
+    from dataquality_cli_ray.pipelines.quality import build_models
+    from dataquality_cli_ray.stages.rules import QualityConfig
+
+    # workers import the program from this checkout whatever the cwd
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH", "")) if p)
+    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+    rd.DataContext.get_current().enable_progress_bars = False
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            path = write_input(d, args.files, args.rows, args.seed)
+            cfg, (lm, pm) = QualityConfig(), build_models()
+            one_op(path, cfg, lm, pm)                    # warm-up
+            ops = [one_op(path, cfg, lm, pm) for _ in range(args.ops)]
+    finally:
+        ray.shutdown()
+    assert all(o["rows"] == args.files * args.rows for o in ops)
+    print(f"{args.ops} ops, {args.files} x {args.rows} rows, "
+          f"{args.cpus} CPU(s)")
+    print(f"{'':<10}{'median':>10}{'iqr':>10}")
+    for k in ("plan ms", "drain ms", "tasks", "udf ms", "floor ms"):
+        xs = [o[k] for o in ops]
+        q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+        print(f"{k:<10}{statistics.median(xs):>10.1f}{q[2] - q[0]:>10.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

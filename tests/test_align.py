@@ -45,10 +45,13 @@ def test_align_batch_split_invariance():
     assert np.array_equal(a, b, equal_nan=True)   # bit-identical
 
 
-def test_align_payload_layouts_equal_one_chunk():
+def test_align_payload_layouts_equal_one_chunk(monkeypatch):
     """The image tower walks the payload chunks in place: four chunks
-    with their own buffers, a slice at a non-zero offset and
-    large_binary score as the one-chunk column does."""
+    with their own buffers, a slice at a non-zero offset, large_binary,
+    and shape groups larger than the per-worker scratch (walked in
+    several blocks) score as the one-chunk column does."""
+    from dataquality_cli_ray.stages import image_stages
+
     t = _mk_rows(96).combine_chunks()
     n = t.num_rows
     cuts = [0, n // 5, n // 2, n - 5, n]
@@ -65,6 +68,10 @@ def test_align_payload_layouts_equal_one_chunk():
         assert got.to_pylist() == want.to_pylist(), name
     got = stage(t.slice(7)).select(["align_score", "keep_align"])
     assert got.to_pylist() == want.slice(7).to_pylist()
+    # a 32x32 group (3,072 payload bytes a row) in blocks of 2 rows
+    monkeypatch.setattr(image_stages, "SCRATCH_TARGET_BYTES", 7000)
+    got = stage(four).select(["align_score", "keep_align"])
+    assert got.to_pylist() == want.to_pylist()
 
 
 def test_align_matches_scalar_reference():

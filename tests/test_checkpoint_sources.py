@@ -275,9 +275,10 @@ def test_resume_invalidates_shifted_boundaries(ray_session, tmp_path):
     assert r3["shards_skipped"] == 3
 
 
-def _published(out_root):
-    """(every published row sorted by x, {shard dir: manifest}) of a run;
-    asserts each shard dir holds only its manifest and parquet parts."""
+def _published(out_root, key="x"):
+    """(every published row sorted by ``key``, {shard dir: manifest}) of
+    a run; asserts each shard dir holds only its manifest and parquet
+    parts."""
     tables, manifests = [], {}
     for name in sorted(os.listdir(out_root)):
         d = os.path.join(out_root, name)
@@ -289,7 +290,7 @@ def _published(out_root):
             manifests[name] = json.load(f)
         tables += [pq.read_table(os.path.join(d, n)) for n in names
                    if n.endswith(".parquet")]
-    return pa.concat_tables(tables).sort_by("x"), manifests
+    return pa.concat_tables(tables).sort_by(key), manifests
 
 
 def _run(files, out_root):
@@ -327,20 +328,37 @@ def test_resume_after_worker_killed_after_part_write(ray_session, input_files,
 
 
 def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
-                                                      input_files, tmp_path,
-                                                      monkeypatch):
-    """One work unit covers all six files (60 rows, below UNIT_MIN_ROWS).
-    Its worker dies after the first file's part is written: Ray retries
-    the whole unit, the retry writes fresh parts for every file, and
-    publishing deletes the part no task reported. The published output
-    equals a clean run, with no orphan part."""
+                                                      images_path, models,
+                                                      tmp_path, monkeypatch):
+    """The quality plan over six 100-row image files: one work unit
+    covers all six (below UNIT_MIN_ROWS), and its task labels them as
+    one batch. The worker dies after the first file's part is written:
+    Ray retries the whole unit, the retry writes fresh parts for every
+    file, and publishing deletes the part no task reported. The
+    published output equals a clean run, with no orphan part."""
     import pyarrow.compute as pc
 
-    from dataquality_cli_ray.sources.readers import read_parquet_units
+    from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
+    from dataquality_cli_ray.stages.rules import QualityConfig
     from dataquality_cli_ray.state import checkpoint as CK
 
-    _run(input_files, str(tmp_path / "clean"))
-    clean = _published(str(tmp_path / "clean"))
+    t = pq.read_table(images_path)
+    files = []
+    for i in range(6):
+        files.append(str(tmp_path / f"in_{i}.parquet"))
+        pq.write_table(t.slice(i * 100, 100), files[-1])
+
+    def run(out_root):
+        return run_resumable(
+            files, out_root,
+            lambda p: images_quality_pipeline(files, QualityConfig(),
+                                              langid_model=models[0],
+                                              ppl_model=models[1],
+                                              pending=p),
+            shard_size=2, lineage_fn=drop_reason_lineage)
+
+    run(str(tmp_path / "clean"))
+    clean = _published(str(tmp_path / "clean"), "image_id")
     marker = str(tmp_path / "killed")
     real = CK._write_parts
 
@@ -356,13 +374,10 @@ def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
 
     monkeypatch.setattr(CK, "_write_parts", write_first_file_then_die)
     out_root = str(tmp_path / "out")
-    r = run_resumable(input_files, out_root,
-                      lambda p: read_parquet_units(p, 4, with_path=True),
-                      shard_size=2, lineage_fn=drop_reason_lineage)
-    assert r["shards_run"] == 3
+    assert run(out_root)["shards_run"] == 3
     with open(marker) as f:
-        assert json.load(f) == input_files
-    got, manifests = _published(out_root)
+        assert json.load(f) == files
+    got, manifests = _published(out_root, "image_id")
     assert got.equals(clean[0]) and manifests == clean[1]
 
 

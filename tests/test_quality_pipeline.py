@@ -167,6 +167,72 @@ def test_dup_losers_null_keys_never_dups(ray_session, tmp_path):
             assert got == marked, (mode, phash)
 
 
+def _group_by_dup_map(t, key_col="phash", id_col="image_id"):
+    """The dup-loser map as one group_by of (min id, count) over every
+    row, sorted by key."""
+    import pyarrow.compute as pc
+
+    g = t.group_by(key_col).aggregate([(id_col, "min"), (key_col, "count")])
+    g = g.filter(pc.greater(g[f"{key_col}_count"], 1))
+    keys = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.argsort(keys)
+    return keys[order], g[f"{id_col}_min"].combine_chunks().take(
+        pa.array(order))
+
+
+def test_count_first_dup_map_equals_group_by():
+    """The count-first pre-pass (np.unique over the keys, min id over
+    the dup rows only) equals the group_by formulation on null keys,
+    keys above 2**53 that differ only in their low bits, -2**63, a hot
+    key, all-unique keys and an empty table, over two-chunk columns."""
+    from dataquality_cli_ray.pipelines.quality import dup_losers_from_table
+
+    big = 2**53
+    cases = {
+        "nulls": [None, 5, 5, None, 7, None, 5, 0],
+        "above_2_53": [big + 1, big + 2, big + 1, big + 3, big + 2, big],
+        "int64_min": [-2**63, 3, -2**63, 2**63 - 1, 2**63 - 1, 0],
+        "hot": [9] * 500 + list(range(100)),
+        "unique": list(range(50)),
+        "empty": [],
+    }
+    for name, keys in cases.items():
+        n = len(keys)
+        ids = [f"id-{(i * 7919) % 1009:04d}" for i in range(n)]
+        t = pa.table({"phash": pa.array(keys, pa.int64()),
+                      "image_id": pa.array(ids, pa.string())})
+        t = pa.concat_tables([t.slice(0, n // 2), t.slice(n // 2)])
+        got_k, got_w = dup_losers_from_table(t)
+        want_k, want_w = _group_by_dup_map(t)
+        assert got_k.dtype == np.int64 and np.array_equal(got_k, want_k), name
+        assert got_w.to_pylist() == want_w.to_pylist(), name
+        assert len(got_k) == len(got_w), name
+
+
+def test_stage_cache_keyed_on_whole_config(ray_session, models):
+    """The per-worker stage cache keys on both model refs and the whole
+    config: two calls with the same refs and configs that differ only in
+    ``max_perplexity`` label differently."""
+    import ray
+
+    from dataquality_cli_ray.fixtures.images import gen_rows
+    from dataquality_cli_ray.pipelines.quality import (
+        _label_task_fn, dup_losers_from_table)
+
+    batch = gen_rows(np.arange(600), 600)
+    refs = {"langid_ref": ray.put(models[0]), "ppl_ref": ray.put(models[1]),
+            "dup_ref": ray.put(dup_losers_from_table(batch))}
+
+    def reasons(cfg):
+        out, = _label_task_fn(batch, cfg=cfg, **refs)
+        return out["drop_reason"].to_pylist()
+
+    loose = reasons(QualityConfig())
+    strict = reasons(QualityConfig(max_perplexity=1.0))
+    assert strict.count("high_perplexity") > loose.count("high_perplexity")
+    assert reasons(QualityConfig()) == loose
+
+
 def test_stray_non_parquet_file_skipped(ray_session, images_path, models,
                                         pipeline_and_golden, tmp_path):
     """A non-parquet file next to the input's parquet files is skipped:
@@ -226,8 +292,7 @@ def test_pipeline_metrics_from_stats(ray_session, images_path, models):
     assert max(r["rows_out"] for r in measured.values()) >= n > 0
 
 
-FUSED_OP = ("MapBatches(_read_units)->MapBatches(_fused_task_fn)"
-            "->MapBatches(_mark_finalize_task_fn)")
+FUSED_OP = "MapBatches(_label_task_fn)"
 
 
 def _executed_ops(ds) -> list[str]:
@@ -252,7 +317,7 @@ def multi_file_images(images_path, tmp_path_factory):
 
 def test_staged_plan_is_one_fused_operator(ray_session, models,
                                            multi_file_images):
-    """The work-unit read fuses with the kernel chain: after the
+    """One map step reads, labels and marks each work unit: after the
     ``FromItems`` input of the planned units, the executed staged plan
     is ONE operator, with no ReadParquet and no SplitBlocks. The plan's
     block size cap and reservation switch live in the plan's own

@@ -28,19 +28,19 @@ def test_every_row_group_once_in_file_order():
 
 
 def test_one_large_file_splits_at_four_cpus():
+    # one unit per CPU, each a piece of two row groups (three would pass
+    # PIECE_MAX_BYTES)
     units = plan_units(["big"], [[(4096, 11 * MIB)] * 8], 4)
-    assert units == [[("big", [i])] for i in range(8)]
-    # at 1 CPU, two units of four row groups, read in pieces of two
-    # (three would pass PIECE_MAX_BYTES)
+    assert units == [[("big", [i, i + 1])] for i in range(0, 8, 2)]
+    # at 1 CPU, one unit of all eight row groups, in pieces of two
     assert plan_units(["big"], [[(4096, 11 * MIB)] * 8], 1) == [
-        [("big", [0, 1]), ("big", [2, 3])],
-        [("big", [4, 5]), ("big", [6, 7])]]
+        [("big", [0, 1]), ("big", [2, 3]), ("big", [4, 5]), ("big", [6, 7])]]
 
 
 def test_small_files_pack_at_one_cpu():
     files = [f"part-{i}" for i in range(8)]
     units = plan_units(files, [[(1024, 3 * MIB)]] * 8, 1)
-    assert len(units) <= 2
+    assert len(units) == 1
     assert [f for u in units for f, _ in u] == files
     # a tiny input is one unit whatever the width
     assert len(plan_units(files[:3], [[(10, 100)]] * 3, 4)) == 1
@@ -61,8 +61,9 @@ def test_zero_row_files_and_uneven_row_groups():
 
 def test_oversized_row_group_stays_whole():
     big = PIECE_MAX_BYTES + 1
+    # at 2 CPUs the row target is UNIT_MIN_ROWS, below row group 3's
     units = plan_units(["f"], [[(10, big), (10, MIB), (10, MIB),
-                                (5000, MIB)]], 1)
+                                (5000, MIB)]], 2)
     pieces = [groups for u in units for _, groups in u]
     assert pieces[0] == [0]                 # over the byte limit: alone
     assert [3] in pieces                    # over the row target: alone
@@ -75,8 +76,8 @@ def test_oversized_row_group_stays_whole():
 def test_one_file_or_four_files_same_output(ray_session, images_path,
                                             models, tmp_path, monkeypatch):
     """The same 600 rows as one file of 8 row groups or as 4 files give
-    the same flagship output frame, with the one file split into 8
-    units."""
+    the same flagship output frame, with the one file split into 4
+    units (one per CPU)."""
     from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
     from dataquality_cli_ray.stages.rules import QualityConfig
 
@@ -94,7 +95,7 @@ def test_one_file_or_four_files_same_output(ray_session, images_path,
     lm, pm = models
     f = str(one / "all.parquet")
     assert len(plan_units([f], [m.row_groups for m in R._footers([f])],
-                          4)) == 8
+                          4)) == 4
 
     def run(path):
         out = images_quality_pipeline(str(path), QualityConfig(),
@@ -104,6 +105,55 @@ def test_one_file_or_four_files_same_output(ray_session, images_path,
     a, b = run(one), run(four)
     assert len(a) == 600
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_unit_over_piece_max_bytes_labels_in_batches(ray_session, images_path,
+                                                    models, tmp_path,
+                                                    monkeypatch):
+    """A unit whose pieces add up to more than PIECE_MAX_BYTES is read
+    and labeled in several batches, each within the limit, and its
+    labeled rows equal a one-batch run's."""
+    import pyarrow as pa
+    import ray
+
+    from dataquality_cli_ray.pipelines import quality as Q
+    from dataquality_cli_ray.stages.rules import QualityConfig
+
+    t = pq.read_table(images_path)
+    f = str(tmp_path / "all.parquet")
+    pq.write_table(t, f, row_group_size=75, compression="none")
+    units = pa.table({"paths": [[f] * 8],
+                      "row_groups": [[[i] for i in range(8)]]})
+    kw = {"cfg": QualityConfig(), "langid_ref": ray.put(models[0]),
+          "ppl_ref": ray.put(models[1]),
+          "dup_ref": ray.put(Q.dup_losers_from_table(t)),
+          "units": True, "with_path": True}
+    one = list(Q._label_task_fn(units, **kw))
+    assert len(one) == 1 and one[0].num_rows == 600
+    monkeypatch.setattr(R, "PIECE_MAX_BYTES", t.nbytes // 3)
+    batches = list(Q._unit_batches(units, True))
+    assert len(batches) > 2
+    assert all(b.nbytes <= R.PIECE_MAX_BYTES for b in batches)
+    assert sum(b.num_rows for b in batches) == 600
+    many = list(Q._label_task_fn(units, **kw))
+    assert len(many) == len(batches)
+    assert pa.concat_tables(many).equals(one[0])
+
+
+def test_zero_row_input_labels_nothing(ray_session, images_path, models,
+                                      tmp_path):
+    """A parquet input with no rows plans one unit that reads only the
+    schema; its task labels nothing, so the plan yields no row (as Ray
+    calls no UDF on an empty block)."""
+    from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
+    from dataquality_cli_ray.stages.rules import QualityConfig
+
+    pq.write_table(pq.read_table(images_path).slice(0, 0),
+                   str(tmp_path / "empty.parquet"))
+    out = images_quality_pipeline(str(tmp_path), QualityConfig(),
+                                  langid_model=models[0], ppl_model=models[1])
+    assert sum(b.num_rows for b in out.iter_batches(
+        batch_format="pyarrow")) == 0
 
 
 def test_cached_footers_start_no_thread(tmp_path, monkeypatch):

@@ -376,8 +376,9 @@ def _char_lm_per_text(texts, dim=1 << 18, order=3):
     for t in texts:
         if not t:
             continue
-        b = np.frombuffer(f"  {t.lower()} ".encode("utf-8", "ignore"),
-                          dtype=np.uint8)
+        # lowered as the engine lowers (Arrow's utf8_lower)
+        b = np.frombuffer(f"  {T.lower([t])[0].as_py()} ".encode(
+            "utf-8", "ignore"), dtype=np.uint8)
         np.add.at(tri, _hash_grams(b, order, dim), 1.0)
         np.add.at(bi, _hash_grams(b, order - 1, dim), 1.0)
     return {"tri": tri, "bi": bi, "dim": dim, "order": order, "k": 0.1,
@@ -576,3 +577,17 @@ def test_ppl_arrow_matches_list_path():
     for t in probe[:5]:
         lone = score_texts_batch(model, [t])[0]
         assert abs(lone - score_text(model, t)) < 1e-9
+
+
+def test_ppl_scorers_lower_alike():
+    """The per-text scorer and the batch scorer lower text the same way
+    (Arrow's simple case mapping), also where Python's ``str.lower``
+    differs: 'İ' (two code points under str.lower), a final capital
+    sigma, the Kelvin sign and the titlecase digraph 'ǅ'."""
+    from dataquality_cli_ray.stages.perplexity import score_texts_batch
+    texts, _ = seed_corpus(n_per_lang=30)
+    model = train_char_lm(texts)
+    probe = ["İstanbul", "ΟΔΟΣ", "\u212a", "ǅ"]
+    batch = score_texts_batch(model, probe)
+    for t, b in zip(probe, batch):
+        assert abs(score_text(model, t) - b) < 1e-12, t

@@ -71,15 +71,13 @@ def run_benchmarks() -> dict:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
-
     from dataquality_cli_ray.fixtures.images import generate_images_parquet
     from dataquality_cli_ray.pipelines import relational as R
     from dataquality_cli_ray.pipelines import dedup as DD
     from dataquality_cli_ray.pipelines import similarity as SIM
     from dataquality_cli_ray.pipelines import textqa as TQ
     from dataquality_cli_ray.pipelines.profiler import describe_file
-    from dataquality_cli_ray.sources.readers import read_parquet_small
+    from dataquality_cli_ray.sources.readers import read_parquet
     from dataquality_cli_ray.pipelines.quality import (
         build_models,
         images_quality_pipeline,
@@ -105,7 +103,7 @@ def run_benchmarks() -> dict:
     # image-bytes pages the projection above never touches, which is
     # most of the 1.7-vs-0.9 s run-1/run-2 spread in driver benches
     _warm_page_cache(img_path, max_bytes=4 << 30)
-    rd.read_parquet(img_path, columns=["image_id"]).count()
+    read_parquet(img_path, columns=["image_id"]).count()
     langid_model, ppl_model = build_models()
     # the warm fixture must span >= one 8k-row FILE per worker: reads
     # are per-file tasks, so a single-file warmup primes only a couple
@@ -160,23 +158,23 @@ def run_benchmarks() -> dict:
     timed("events_hourly", lambda: R.events_hourly(SF_DIR))
     timed("events_last_order", lambda: R.events_last_order(SF_DIR))
     timed("docs_dedup_exact", lambda: DD.exact_dedup_by_text(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                        columns=["doc_id", "text"]), "text", "doc_id").count())
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]), "text", "doc_id").count())
     timed("docs_minhash_pairs", lambda: DD.minhash_lsh_pairs(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                        columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", threshold=0.5).count())
     timed("docs_token_stats", lambda: TQ.token_stats(
-        read_parquet_small(f"{SF_DIR}/documents.parquet")).count())
+        read_parquet(f"{SF_DIR}/documents.parquet")).count())
     timed("docs_length_histogram", lambda: TQ.token_length_histogram(
-        read_parquet_small(f"{SF_DIR}/documents.parquet")).count())
+        read_parquet(f"{SF_DIR}/documents.parquet")).count())
 
     from dataquality_cli_ray.pipelines import corpus_ops as CO
 
     def _decon():
         import pyarrow as pa
-        docs = read_parquet_small(f"{SF_DIR}/documents.parquet",
-                                  columns=["doc_id", "text"])
+        docs = read_parquet(f"{SF_DIR}/documents.parquet",
+                            columns=["doc_id", "text"])
         bench_tbl = pa.concat_tables(
             b for b in docs.filter(expr="doc_id < 25")
             .iter_batches(batch_format="pyarrow"))
@@ -186,48 +184,48 @@ def run_benchmarks() -> dict:
 
     timed("docs_decontaminate", _decon)
     timed("docs_top_ngrams", lambda: CO.top_ngrams(
-        read_parquet_small(f"{SF_DIR}/documents.parquet", columns=["text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet", columns=["text"]),
         "text", 2, 25))
     timed("docs_repetition", lambda: CO.repetition_stats(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"])).count())
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"])).count())
     timed("docs_chunks", lambda: CO.chunk_windows(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", 24, 8).count())
     timed("docs_source_cap", lambda: CO.cap_per_key(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "source"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "source"]),
         "source", "doc_id", 10))
     timed("docs_quantile_filter", lambda: CO.quantile_threshold_filter(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", q=0.25).count())
     timed("docs_pack", lambda: CO.pack_sequences(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", budget=512).count())
     timed("docs_stratified_sample", lambda: CO.stratified_sample_per_key(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "source"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "source"]),
         "source", "doc_id", frac=0.25))
     timed("docs_resample", lambda: CO.temperature_resample(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "lang"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "lang"]),
         "lang", "doc_id", alpha=0.5).count())
     timed("docs_hash_split", lambda: CO.hash_split(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id"]), "doc_id").count())
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id"]), "doc_id").count())
     timed("docs_shard_counts", lambda: CO.shard_shuffle(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id"]), "doc_id", n_shards=16))
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id"]), "doc_id", n_shards=16))
     timed("docs_shared_spans", lambda: CO.cross_doc_shared_grams(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", n=5))
     timed("docs_span_dedup", lambda: CO.remove_duplicate_spans(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", n=5).count())
 
     def _line_dedup():
@@ -236,8 +234,8 @@ def run_benchmarks() -> dict:
 
     timed("docs_line_dedup", _line_dedup)
     timed("docs_dsir_select", lambda: CO.dsir_select(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text", "lang"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text", "lang"]),
         hash_buckets=1 << 18).count())
 
     def _incr():
@@ -245,13 +243,13 @@ def run_benchmarks() -> dict:
         import tempfile
         d = tempfile.mkdtemp(prefix="dq_bench_idx_")
         try:
-            docs = read_parquet_small(f"{SF_DIR}/documents.parquet",
-                                      columns=["doc_id", "text"])
+            docs = read_parquet(f"{SF_DIR}/documents.parquet",
+                                columns=["doc_id", "text"])
             split = docs.count() // 2
             DD.build_dedup_index(
                 docs.filter(expr=f"doc_id < {split}"), "text", "doc_id", d)
             return DD.dedup_against_index(
-                read_parquet_small(
+                read_parquet(
                     f"{SF_DIR}/documents.parquet",
                     columns=["doc_id", "text"]).filter(
                         expr=f"doc_id >= {split}"),
@@ -261,26 +259,26 @@ def run_benchmarks() -> dict:
 
     timed("docs_incremental_dedup", _incr)
     timed("docs_oov_rate", lambda: CO.oov_rate(
-        read_parquet_small(f"{SF_DIR}/documents.parquet",
-                           columns=["doc_id", "text"]),
+        read_parquet(f"{SF_DIR}/documents.parquet",
+                     columns=["doc_id", "text"]),
         "text", "doc_id", vocab_k=10).count())
 
     def _qlr():
         from dataquality_cli_ray.pipelines import classifier as CL
         return CL.quality_lr_pipeline(
-            read_parquet_small(f"{SF_DIR}/documents.parquet",
-                               columns=["doc_id", "text"]),
+            read_parquet(f"{SF_DIR}/documents.parquet",
+                         columns=["doc_id", "text"]),
             iters=10).count()
 
     timed("docs_quality_lr", _qlr)
     timed("embedding_semdedup", lambda: DD.semdedup(
-        read_parquet_small(f"{SF_DIR}/embeddings.parquet"),
+        read_parquet(f"{SF_DIR}/embeddings.parquet"),
         "embedding", "vec_id", n_clusters=16, threshold=0.35).count())
 
     def _ann():
         Q, qids = SIM.load_query_vectors(SF_DIR, 10)
         SIM.brute_force_topk(
-            read_parquet_small(f"{SF_DIR}/embeddings.parquet"), Q, qids, 5
+            read_parquet(f"{SF_DIR}/embeddings.parquet"), Q, qids, 5
         ).count()
 
     timed("ann_topk", _ann)
@@ -288,9 +286,8 @@ def run_benchmarks() -> dict:
     # ---- CLIP-archetype image-caption alignment filter over the full
     # headline fixture (stand-in towers; plumbing is the measured part)
     def _align():
-        from dataquality_cli_ray.sources.readers import read_parquet_fast
         from dataquality_cli_ray.stages.align import CaptionAlignStage
-        ds = read_parquet_fast(
+        ds = read_parquet(
             img_path, columns=["image_id", "bytes", "caption"])
         n = ds.map_batches(
             CaptionAlignStage(), batch_format="pyarrow", zero_copy_batch=True,
@@ -303,7 +300,7 @@ def run_benchmarks() -> dict:
     # the headline fixture: first K rows per exact caption ----
     def _caption_cap():
         from dataquality_cli_ray.pipelines import corpus_ops as CO
-        ds = read_parquet_small(
+        ds = read_parquet(
             img_path, columns=["image_id", "caption"])
         CO.cap_per_key(ds, "caption", "image_id", 2)
 

@@ -90,10 +90,10 @@ def render_describe(name: str, stats, elapsed: float) -> str:
 
 def cmd_describe(args) -> int:
     _ray_session(args.num_cpus)
-    import ray.data as rd
 
     from .pipelines.profiler import describe
-    from .sources.readers import DiscoveryOptions, discover_files, read_csv_auto
+    from .sources.readers import (DiscoveryOptions, discover_files,
+                                  read_csv_auto, read_table)
 
     t0 = time.time()
     reports = []
@@ -129,13 +129,7 @@ def cmd_describe(args) -> int:
                 reports.append(render_describe(os.path.basename(f), stats,
                                                time.time() - s))
     else:
-        if path.lower().endswith(".csv"):
-            reader = read_csv_auto
-        elif path.lower().endswith((".jsonl", ".jsonl.gz", ".ndjson")):
-            from .sources.readers import read_jsonl as reader
-        else:
-            reader = rd.read_parquet
-        stats = describe(reader(path), mode=mode)
+        stats = describe(read_table(path), mode=mode)
         reports.append(render_describe(os.path.basename(path), stats,
                                        time.time() - t0))
     out = "\n\n".join(reports) + f"\n\nTotal elapsed: {time.time()-t0:.3f}s\n"

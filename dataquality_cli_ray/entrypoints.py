@@ -16,7 +16,7 @@ import pandas as pd
 
 
 from .functions.rounding import round_half_up, sql_round
-from .sources.readers import read_parquet_small
+from .sources.readers import read_parquet
 from .pipelines import dedup as DD
 from .pipelines import relational as R
 from .pipelines import similarity as SIM
@@ -151,8 +151,8 @@ def q_describe_dates(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    ds = read_parquet_small(f"{sf_dir}/orders.parquet",
-                            columns=["o_orderdate"])
+    ds = read_parquet(f"{sf_dir}/orders.parquet",
+                      columns=["o_orderdate"])
 
     def to_str(t: pa.Table) -> pa.Table:
         # cast to second unit first: Arrow's %S renders fractional
@@ -379,7 +379,7 @@ FROM customer GROUP BY c_mktsegment ORDER BY c_mktsegment"""
 
 
 def q_docs_token_stats(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     df = TQ.token_stats(ds).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -400,7 +400,7 @@ def q_docs_length_histogram(sf_dir: str) -> pd.DataFrame:
     """Token-length histogram (bin_width=8 ws-tokens, last bin open):
     per-batch bincount combiner -> tiny groupby, corpus never
     shuffles (textqa.token_length_histogram)."""
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     df = TQ.token_length_histogram(ds).to_pandas()
     return df.sort_values("bin").reset_index(drop=True)
 
@@ -415,7 +415,7 @@ FROM t GROUP BY bin ORDER BY bin"""
 
 
 def q_docs_quality_scores(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     df = TQ.quality_scores(ds).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -435,8 +435,8 @@ def sql_docs_quality_scores() -> str:
 
 def q_docs_rules(sf_dir: str) -> pd.DataFrame:
     cfg = QualityConfig(caption_col="text", check_fmt=False)
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     out = (
         ds.map_batches(HeuristicRules(cfg), batch_format="pyarrow",
                        batch_size=8192)
@@ -462,8 +462,8 @@ FROM documents) ORDER BY doc_id"""
 
 
 def q_docs_scrubbed(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     out = ds.map_batches(
         PiiScrubber(text_col="text", out_col="text_scrubbed"),
         batch_format="pyarrow", batch_size=8192,
@@ -491,8 +491,8 @@ def sql_docs_scrubbed() -> str:
 
 
 def q_docs_exact_dedup(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     out = DD.exact_dedup_by_text(ds, "text", "doc_id")
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -502,8 +502,8 @@ FROM documents GROUP BY text ORDER BY doc_id"""
 
 
 def q_docs_fingerprints(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     df = TQ.fingerprints(ds).to_pandas()[["doc_id", "md5_fp"]]
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -524,7 +524,7 @@ EMB_DUP_THRESHOLD = 0.35
 
 def q_ann_topk(sf_dir: str) -> pd.DataFrame:
     Q, qids = SIM.load_query_vectors(sf_dir, ANN_NQ)
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     # retrieve k+5 on raw scores, then round → re-rank → cut to k so the
     # ranking matches the oracle (which ranks by the rounded score).
     res = SIM.brute_force_topk(ds, Q, qids, ANN_K + 5).to_pandas()
@@ -553,7 +553,7 @@ WHERE rank <= {ANN_K} ORDER BY query_id, rank"""
 
 
 def q_embedding_dup_pairs(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     out = DD.embedding_dup_pairs_bruteforce(
         ds, "embedding", "vec_id", EMB_DUP_THRESHOLD).to_pandas()
     out["cosine"] = round_half_up(out["cosine"], 6)
@@ -576,7 +576,7 @@ ORDER BY id_a, id_b"""
 # ---------------------------------------------------------------------------
 
 def q_docs_langid(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     import pyarrow.compute as _pc
 
     def _mod5(t):
@@ -596,15 +596,15 @@ def q_docs_langid(sf_dir: str) -> pd.DataFrame:
 
 
 def q_docs_minhash_pairs(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     pairs = DD.minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5)
     return pairs.to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 def q_docs_simhash_pairs(sf_dir: str) -> pd.DataFrame:
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     pairs = DD.simhash_pairs(ds, "text", "doc_id", max_hamming=3)
     return pairs.to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -620,8 +620,8 @@ def q_events_props_k(sf_dir: str) -> pd.DataFrame:
     import ray.data  # noqa: F401
     from ray.data.aggregate import Count, Sum
 
-    ds = read_parquet_small(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "props"])
+    ds = read_parquet(f"{sf_dir}/events.parquet",
+                      columns=["event_type", "props"])
 
     def extract(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch["props"], r'"k": (?P<k>[0-9]+)')
@@ -662,8 +662,8 @@ FROM events GROUP BY event_type ORDER BY event_type"""
 
 def q_docs_winnow(sf_dir: str) -> pd.DataFrame:
     """Winnowing fingerprint counts (rows-only; Schleimer et al. 2003)."""
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     df = TQ.fingerprints(ds).to_pandas()[["doc_id", "n_winnow"]]
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -716,8 +716,8 @@ def q_docs_decontaminate(sf_dir: str) -> pd.DataFrame:
 
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     bench_tbl = pa.concat_tables(
         b for b in docs.filter(expr=f"doc_id < {DECON_SPLIT}")
         .iter_batches(batch_format="pyarrow"))
@@ -743,8 +743,8 @@ def q_docs_source_cap(sf_dir: str) -> pd.DataFrame:
     per (key, block) ever leave a task."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "source"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "source"])
     t = CO.cap_per_key(docs, "source", "doc_id", SOURCE_CAP_K)
     df = t.to_pandas()[["doc_id", "source"]]
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -776,8 +776,8 @@ def q_docs_repetition(sf_dir: str) -> pd.DataFrame:
     from hashed word n-grams per batch — streams, no shuffle."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CO.repetition_stats(docs).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -794,8 +794,8 @@ def q_docs_top_ngrams(sf_dir: str) -> pd.DataFrame:
     deterministic (cnt DESC, gram ASC) tie-break on both sides."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     t = CO.top_ngrams(docs, "text", TOP_NGRAMS_N, TOP_NGRAMS_K)
     return t.to_pandas().reset_index(drop=True)
 
@@ -824,8 +824,8 @@ def q_docs_chunks(sf_dir: str) -> pd.DataFrame:
     corpus_ops.chunk_windows; streams per batch."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CO.chunk_windows(docs, "text", "doc_id",
                           window=CHUNK_W, overlap=CHUNK_O).to_pandas()
     return df.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
@@ -857,8 +857,8 @@ def q_docs_quantile_filter(sf_dir: str) -> pd.DataFrame:
     (corpus_ops.quantile_threshold_filter)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CO.quantile_threshold_filter(docs, "text", "doc_id",
                                       q=QF_Q).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -881,8 +881,8 @@ def q_docs_pack(sf_dir: str) -> pd.DataFrame:
     per-block finalize (corpus_ops.pack_sequences)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CO.pack_sequences(docs, "text", "doc_id",
                            budget=PACK_BUDGET).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -905,8 +905,8 @@ def q_docs_stratified_sample(sf_dir: str) -> pd.DataFrame:
     corpus_ops.stratified_sample_per_key)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "source"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "source"])
     t = CO.stratified_sample_per_key(docs, "source", "doc_id",
                                      frac=STRAT_FRAC)
     df = t.to_pandas()[["doc_id", "source"]]
@@ -942,8 +942,8 @@ def q_docs_resample(sf_dir: str) -> pd.DataFrame:
     no shuffle, rerun-stable (corpus_ops.temperature_resample)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "lang"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "lang"])
     df = CO.temperature_resample(docs, "lang", "doc_id",
                                  alpha=RESAMPLE_ALPHA).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -965,8 +965,8 @@ def q_docs_hash_split(sf_dir: str) -> pd.DataFrame:
     (corpus_ops.hash_split); one streaming pass, zero state."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id"])
     df = CO.hash_split(docs, "doc_id", val_frac=SPLIT_VAL_FRAC,
                        test_frac=SPLIT_TEST_FRAC).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -983,8 +983,8 @@ def q_docs_shard_counts(sf_dir: str) -> pd.DataFrame:
     the balance evidence (corpus_ops.shard_shuffle)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id"])
     t = CO.shard_shuffle(docs, "doc_id", n_shards=SHARD_N)
     return t.to_pandas().sort_values("shard").reset_index(drop=True)
 
@@ -1020,8 +1020,8 @@ def q_docs_incremental_dedup(sf_dir: str) -> pd.DataFrame:
     state — + keep-first within the batch)."""
     import tempfile
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     hist = docs.filter(expr=f"doc_id < {INCR_SPLIT}")
 
     def _relabel(off: int):
@@ -1070,8 +1070,8 @@ def q_docs_shared_spans(sf_dir: str) -> pd.DataFrame:
     O(docs) rows)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     t = CO.cross_doc_shared_grams(docs, "text", "doc_id", n=XDOC_N)
     return t.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -1086,8 +1086,8 @@ def q_docs_span_dedup(sf_dir: str) -> pd.DataFrame:
     vectorized rebuild)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     t = CO.remove_duplicate_spans(docs, "text", "doc_id", n=XDOC_N)
     return t.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -1136,8 +1136,8 @@ def q_docs_line_dedup(sf_dir: str) -> pd.DataFrame:
     rebuild, content on the wire only as 64-bit hashes."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
 
     def lineify(t):
         # input derivation (not the operator): regroup each doc's words
@@ -1198,8 +1198,8 @@ def q_docs_dsir_select(sf_dir: str) -> pd.DataFrame:
     hashed selection against exact on the fixture)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text", "lang"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text", "lang"])
     df = CO.dsir_select(docs, top_frac=DSIR_TOP_FRAC).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -1267,8 +1267,8 @@ def q_docs_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     ``sql_docs_ngram_jaccard``); for guaranteed recall at low
     thresholds call ``minhash_lsh_pairs(bands=64)`` (rows-per-band 2 →
     miss ≤ 1e-8 at s=0.5) at ~4× the explode cost."""
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     cand = DD.minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.4)
     out = DD.verify_pairs_exact_jaccard(cand, ds, "text", "doc_id",
                                         threshold=0.5).to_pandas()
@@ -1321,8 +1321,8 @@ def q_docs_dup_clusters(sf_dir: str) -> pd.DataFrame:
     ``dedup.dup_clusters`` (driver union-find below 5 M pairs,
     distributed min-label propagation above — both value-identical).
     cluster_id = min member doc_id, the keep-first representative."""
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     cand = DD.minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.4)
     pairs = DD.verify_pairs_exact_jaccard(cand, ds, "text", "doc_id",
                                           threshold=0.5)
@@ -1341,8 +1341,8 @@ def q_docs_neardup_filter(sf_dir: str) -> pd.DataFrame:
 
     import ray.data
 
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     cand = DD.minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.4)
     pairs = DD.verify_pairs_exact_jaccard(cand, ds, "text", "doc_id",
                                           threshold=0.5)
@@ -1398,7 +1398,7 @@ ORDER BY d.doc_id"""
 
 def q_ann_topk_lsh(sf_dir: str) -> pd.DataFrame:
     Q, qids = SIM.load_query_vectors(sf_dir, ANN_NQ)
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     res = SIM.lsh_topk(ds, Q, qids, ANN_K, dim=Q.shape[1]).to_pandas()
     res["score"] = round_half_up(res["score"], 6)
     return res.sort_values(["query_id", "rank"]).reset_index(drop=True)
@@ -1407,11 +1407,10 @@ def q_ann_topk_lsh(sf_dir: str) -> pd.DataFrame:
 def q_ann_topk_ivf(sf_dir: str) -> pd.DataFrame:
     """IVF ANN (trained coarse quantizer + cell-probed search).
     Deterministic: k-means init = smallest ids, fixed iteration count,
-    FIXED block plan (override_num_blocks) so float partial-sum order
-    is identical regardless of cluster size -> golden-parquet oracle."""
+    FIXED block plan (8 blocks) so float partial-sum order is identical
+    regardless of cluster size -> golden-parquet oracle."""
     Q, qids = SIM.load_query_vectors(sf_dir, ANN_NQ)
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet",
-                         override_num_blocks=8)
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet").repartition(8)
     res = SIM.ivf_topk(ds, Q, qids, ANN_K, n_cells=16, nprobe=4,
                        iters=3).to_pandas()
     res["score"] = round_half_up(res["score"], 6)
@@ -1483,8 +1482,8 @@ def q_docs_oov_rate(sf_dir: str) -> pd.DataFrame:
     vocabulary pass + broadcast membership probe)."""
     from .pipelines import corpus_ops as CO
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CO.oov_rate(docs, "text", "doc_id",
                      vocab_k=OOV_VOCAB_K).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1500,8 +1499,8 @@ def q_docs_quality_lr(sf_dir: str) -> pd.DataFrame:
     (pipelines/classifier.py). Iterative -> golden oracle."""
     from .pipelines import classifier as CL
 
-    docs = read_parquet_small(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    docs = read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text"])
     df = CL.quality_lr_pipeline(docs).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -1512,7 +1511,7 @@ def q_embedding_semdedup(sf_dir: str) -> pd.DataFrame:
     keep-first; survivors only — no pair table, no join
     (dedup.semdedup). Cross-cluster recall asserted vs brute force in
     pytest on planted tight dups; golden-parquet oracle here."""
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     out = DD.semdedup(ds, "embedding", "vec_id", n_clusters=16,
                       threshold=EMB_DUP_THRESHOLD).to_pandas()
     return out.sort_values("vec_id").reset_index(drop=True)
@@ -1521,7 +1520,7 @@ def q_embedding_semdedup(sf_dir: str) -> pd.DataFrame:
 def q_embedding_dup_lsh(sf_dir: str) -> pd.DataFrame:
     """Hyperplane-LSH near-dup pairs (scale path; recall vs brute force
     asserted in tests — rows-only here)."""
-    ds = read_parquet_small(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     out = DD.embedding_dup_pairs_lsh(ds, "embedding", "vec_id", dim=64,
                                      threshold=EMB_DUP_THRESHOLD,
                                      nbits=8).to_pandas()
@@ -1537,7 +1536,7 @@ def q_images_features(sf_dir: str) -> pd.DataFrame:
     from .stages.image_stages import DecodeImageStage
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "bytes", "w", "h"])
+    ds = read_parquet(path, columns=["image_id", "bytes", "w", "h"])
     out = ds.map_batches(DecodeImageStage(), batch_format="pyarrow",
                          batch_size=512)
     df = out.select_columns(
@@ -1555,7 +1554,7 @@ def q_images_resize(sf_dir: str) -> pd.DataFrame:
     from .stages.image_stages import ResizeImageStage
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "bytes", "fmt"])
+    ds = read_parquet(path, columns=["image_id", "bytes", "fmt"])
     out = ds.map_batches(ResizeImageStage(16, 16), batch_format="pyarrow",
                          batch_size=512)
 
@@ -1589,8 +1588,8 @@ def q_docs_perplexity(sf_dir: str) -> pd.DataFrame:
     ids = t["doc_id"].to_numpy(zero_copy_only=False)
     texts = [x for i, x in zip(ids, t["text"].to_pylist()) if i % 5 == 0]
     model = train_char_lm(texts)
-    ds = read_parquet_small(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     out = ds.map_batches(
         PerplexityScorer(model, text_col="text"),
         batch_format="pyarrow", batch_size=8192,
@@ -1611,7 +1610,7 @@ def q_videos_frame_sample(sf_dir: str) -> pd.DataFrame:
     from .stages.image_stages import FrameSampleStage
 
     path = generate_videos_parquet(500)
-    ds = read_parquet_small(path, columns=["video_id", "bytes"])
+    ds = read_parquet(path, columns=["video_id", "bytes"])
     out = ds.map_batches(FrameSampleStage(every_n=3),
                          batch_format="pyarrow", batch_size=128)
 
@@ -1639,7 +1638,7 @@ def q_audio_features(sf_dir: str) -> pd.DataFrame:
     from .stages.image_stages import AudioFeatureStage
 
     path = generate_audio_parquet(1000)
-    ds = read_parquet_small(path)
+    ds = read_parquet(path)
     out = ds.map_batches(AudioFeatureStage(), batch_format="pyarrow",
                          batch_size=256)
     df = out.select_columns(
@@ -1659,7 +1658,7 @@ def q_images_phash_neardup(sf_dir: str) -> pd.DataFrame:
     from .fixtures.images import generate_images_parquet
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "phash"])
+    ds = read_parquet(path, columns=["image_id", "phash"])
     out = DD.hamming_neardup_pairs(ds, "phash", "image_id",
                                    max_hamming=3).to_pandas()
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -1679,7 +1678,7 @@ def q_images_caption_cap(sf_dir: str) -> pd.DataFrame:
     from .pipelines import corpus_ops as CO
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "caption"])
+    ds = read_parquet(path, columns=["image_id", "caption"])
     # the distributed (hash-partitioned) variant: captions are a
     # high-cardinality key, the winner set must not land on the driver
     kept = CO.cap_per_key_dataset(ds, "caption", "image_id",
@@ -1709,7 +1708,7 @@ def q_images_phash_clusters(sf_dir: str) -> pd.DataFrame:
     from .fixtures.images import generate_images_parquet
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "phash"])
+    ds = read_parquet(path, columns=["image_id", "phash"])
     pairs = DD.hamming_neardup_pairs(ds, "phash", "image_id",
                                      max_hamming=3)
     out = DD.dup_clusters(pairs).to_pandas()
@@ -1765,7 +1764,7 @@ def q_images_caption_align(sf_dir: str) -> pd.DataFrame:
     from .stages.align import CaptionAlignStage
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "bytes", "caption"])
+    ds = read_parquet(path, columns=["image_id", "bytes", "caption"])
     # batch_size=None: whole-block batches measured fastest (the
     # kernels amortize; values are batch-split invariant by design)
     out = ds.map_batches(CaptionAlignStage(threshold=0.0),

@@ -127,33 +127,24 @@ def describe_file(
 ) -> pa.Table:
     """Profile local parquet file(s) with ROW-GROUP read granularity.
 
-    ``describe(read_parquet(...))`` on a single large file is serialized
-    behind one ReadParquet task (Ray's read granularity is per-file):
-    measured 1.4 s for a 600 k × 16 table whose stats cost 0.2 s
-    single-threaded. Here each raw task reads a contiguous run of row
+    ``describe(rd.read_parquet(...))`` on a single large file is
+    serialized behind one ReadParquet task (Ray's read granularity is
+    per-file): measured 1.4 s for a 600 k × 16 table whose stats cost
+    0.2 s single-threaded. Here each raw task reads a contiguous run of row
     groups with pyarrow and folds them into one ``ColumnPartial`` map;
     the driver (or a remote tree level past 64 tasks) finishes the
     fold in deterministic (file, row-group) order. Scale shape: tasks =
     min(max_tasks, row groups), each O(columns × caps) output —
     the same per-file fan-out as ``describe_directory``, pushed down to
     row groups. Same output schema as ``describe``."""
-    import os
-
     import pyarrow.parquet as pq
 
     import ray
 
+    from ..sources.readers import parquet_files
+
     caps = SKETCH_CAPS if mode == "sketch" else None
-    paths = path if isinstance(path, (list, tuple)) else [path]
-    files: list[str] = []
-    for p in paths:
-        sp = str(p)
-        if os.path.isdir(sp):
-            files.extend(sorted(
-                os.path.join(sp, f) for f in os.listdir(sp)
-                if f.endswith(".parquet")))
-        else:
-            files.append(sp)
+    files = parquet_files(path)
     units = [(f, rg) for f in files
              for rg in range(pq.ParquetFile(f).metadata.num_row_groups)]
     if not units:

@@ -53,6 +53,7 @@ import ray.data as rd
 
 from ..fixtures.images import seed_corpus
 from ..functions.text import CaptionGrams
+from ..sources.readers import read_unit
 from ..stages.image_stages import DecodeImageStage
 from ..stages.langid import LangIdScorer, train_langid_model
 from ..stages.perplexity import PerplexityScorer, train_char_lm
@@ -344,17 +345,8 @@ def phash_dup_losers(source, key_col: str = "phash",
         return dup_losers_from_table(pa.concat_tables(
             [pq.ParquetFile(f).read(columns=[key_col, id_col]) for f in files],
             promote_options="permissive"), key_col, id_col)
-    # The read is PACKED into ~2 tasks/CPU: inputs written with small
-    # bounded files (the fused-read layout) would otherwise spawn one
-    # tiny per-file task whose open/footer overhead dominates a
-    # two-column scan (measured 2.7 s packed vs 8.5 s per-file at 449
-    # files / 3.2 M rows), but never more blocks than files
-    # (oversplitting adds a SplitBlocks op).
-    nb = max(2 * cluster_cpus(), 1)
-    if files:
-        nb = min(nb, len(files))
     combined = read_table(
-        files or source, columns=[key_col, id_col], override_num_blocks=nb,
+        files or source, columns=[key_col, id_col],
     ).map_batches(_dup_combine, fn_kwargs={"key_col": key_col,
                                            "id_col": id_col},
                   batch_format="pyarrow", batch_size=65536,
@@ -480,37 +472,13 @@ class QualityFusedStage:
 _TASK_CACHE: dict = {}
 
 
-def _unit_batches(units: pa.Table, with_path: bool):
-    """The rows of the work units in ``units`` (one row per unit), read
-    piece by piece and joined into batches of at most PIECE_MAX_BYTES (a
-    piece over it alone), so a unit is never held whole. With
-    ``with_path`` each row gets a ``path`` column naming its file."""
-    import pyarrow.parquet as pq
-
-    from ..sources.readers import PIECE_MAX_BYTES
-
-    batch, size = [], 0
-    for f, g in zip(chain(*units["paths"].to_pylist()),
-                    chain(*units["row_groups"].to_pylist())):
-        t = pq.ParquetFile(f).read_row_groups(g)
-        if with_path:
-            t = t.append_column(
-                "path", pa.repeat(pa.scalar(f, pa.string()), t.num_rows))
-        if batch and size + t.nbytes > PIECE_MAX_BYTES:
-            yield pa.concat_tables(batch, promote_options="permissive")
-            batch, size = [], 0
-        batch.append(t)
-        size += t.nbytes
-    if batch and batch[0].num_rows:  # a no-row input's unit: label nothing
-        yield pa.concat_tables(batch, promote_options="permissive")
-
-
 def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
                    units: bool = False, with_path: bool = False):
     """The plan's one map step: label ``batch`` (with ``units``, each
-    batch :func:`_unit_batches` reads for the units it lists) with the
-    fused stage, dup marking and the keep/drop decision, yielding one
-    labeled table per batch; a ``path`` column is kept for the CLI."""
+    batch :func:`~..sources.readers.read_unit` reads for the units it
+    lists) with the fused stage, dup marking and the keep/drop decision,
+    yielding one labeled table per batch; a ``path`` column is kept for
+    the CLI."""
     key = (langid_ref.hex(), ppl_ref.hex(), dup_ref.hex(), cfg)
     if key not in _TASK_CACHE:
         if len(_TASK_CACHE) >= 4:          # old plans' models
@@ -518,7 +486,10 @@ def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
         _TASK_CACHE[key] = (QualityFusedStage(cfg, langid_ref, ppl_ref),
                             ray.get(dup_ref))
     stage, lookup = _TASK_CACHE[key]
-    for t in _unit_batches(batch, with_path) if units else (batch,):
+    batches = read_unit(zip(chain(*batch["paths"].to_pylist()),
+                            chain(*batch["row_groups"].to_pylist())),
+                        with_path=with_path) if units else (batch,)
+    for t in batches:
         out = finalize_decision(
             _mark_dup(stage(t), *lookup, cfg.dedup_key, cfg.id_col))
         yield out.select(_out_cols(cfg) + (
@@ -579,8 +550,12 @@ def images_quality_pipeline(
     A parquet input is read in work units planned from its footers
     (:func:`~..sources.readers.plan_units`): one per CPU, large files
     split at row-group boundaries and small files packed together; the
-    plan is ``from_items`` (a unit per block) and the map step. Both
-    reads take the ``.parquet`` file list the footer probe walked, so a
+    plan is ``from_items`` (a unit per block) and the map step, which
+    reads each unit with :func:`~..sources.readers.read_unit`. Not
+    ``read_parquet``'s read operator: Ray splits a read whose unit size
+    passes the plan's 32 MiB block cap (one 252 MiB unit at 100,000
+    fixture rows / 1 CPU), and a split read is not fused with the map
+    step. Both reads take the ``.parquet`` file list the footer probe walked, so a
     stray non-parquet file in the input directory is skipped, not read.
     A Lance input keeps Ray's reader and :func:`quality_pipeline`.
 
@@ -629,30 +604,3 @@ def images_quality_pipeline(
                            units=True, with_path=pending is not None)
     finally:
         ctx.target_max_block_size, ctx.op_resource_reservation_enabled = prev
-
-
-def pipeline_metrics(executed_ds: "rd.Dataset") -> dict:
-    """Per-stage throughput metrics from Ray Data's own stats (north
-    rule: 'per-stage throughput metrics'). Call AFTER consuming the
-    dataset; returns {operator: {wall_s, cpu_s, rows_out}}."""
-    import re
-
-    stats = executed_ds.stats()
-    out: dict[str, dict] = {}
-    mult = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-
-    def total(block, label):
-        m = re.search(label + r": .*?, ([0-9.]+)(ms|s|us) total", block)
-        return float(m.group(1)) * mult[m.group(2)] if m else None
-
-    for block in stats.split("Operator ")[1:]:
-        header = block.split("\n", 1)[0]
-        name = header.split(":", 1)[0].strip()
-        m_rows = re.search(r"Output num rows per block: .*?, ([0-9]+) total",
-                           block)
-        out[name] = {
-            "wall_s": total(block, "Remote wall time"),
-            "cpu_s": total(block, "Remote cpu time"),
-            "rows_out": int(m_rows.group(1)) if m_rows else None,
-        }
-    return out

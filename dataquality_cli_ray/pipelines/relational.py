@@ -30,7 +30,7 @@ import ray.data as rd
 from ray.data.aggregate import Count
 
 from ..functions.rounding import round_half_up
-from ..sources.readers import read_parquet_small
+from ..sources.readers import read_parquet
 from .exchange import block_refs, exchange, partitions, split_refs
 
 # per-WORKER-PROCESS broadcast cache (once-per-worker fetch for
@@ -131,7 +131,7 @@ def tree_grouped_agg(
 def q1_pricing_summary(sf_dir: str, cutoff: str = "1998-09-02") -> pd.DataFrame:
     """TPC-H Q1-style pricing summary over lineitem (the flagship
     profiling aggregate: per-group sums/means/counts)."""
-    ds = read_parquet_small(
+    ds = read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
@@ -188,8 +188,8 @@ def revenue_by_segment(sf_dir: str) -> pd.DataFrame:
         idx = pc.index_in(batch["o_custkey"], value_set=keys)
         return batch.append_column("c_mktsegment", pc.take(segs, idx))
 
-    ds = read_parquet_small(f"{sf_dir}/orders.parquet",
-                         columns=["o_custkey", "o_totalprice"])
+    ds = read_parquet(f"{sf_dir}/orders.parquet",
+                      columns=["o_custkey", "o_totalprice"])
     agg = tree_grouped_agg(
         ds.map_batches(add_segment, batch_format="pyarrow",
                        batch_size=65536),
@@ -207,8 +207,8 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     """Tumbling 1-hour window per event_type: count + avg(value).
     Window = truncated-timestamp column + groupby (batch-windowing,
     order-insensitive)."""
-    ds = read_parquet_small(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type", "value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet",
+                      columns=["ts", "event_type", "value"])
 
     def add_window(t: pa.Table) -> pa.Table:
         w = pc.floor_temporal(t["ts"], unit="hour")
@@ -230,8 +230,8 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
 def top_users_by_value(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Grouped top-k: total event value per user, top k users
     (deterministic tie-break: value desc, user_id asc)."""
-    ds = read_parquet_small(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet",
+                      columns=["user_id", "value"])
     agg = tree_grouped_agg(
         ds, keys=["user_id"], sums=["value"], count_alias="n_events",
     ).rename_columns(["user_id", "total_value", "n_events"])
@@ -259,8 +259,8 @@ def customers_without_orders(sf_dir: str, mode: str = "broadcast") -> pd.DataFra
     through ``dedup.semi_join_filter(anti=True)`` — a hash-partitioned
     ``Dataset.join`` with zero driver state. Identical output
     (pytest-pinned equivalence)."""
-    orders = read_parquet_small(f"{sf_dir}/orders.parquet",
-                                columns=["o_custkey", "o_orderstatus"])
+    orders = read_parquet(f"{sf_dir}/orders.parquet",
+                          columns=["o_custkey", "o_orderstatus"])
 
     def p_keys(batch: pa.Table) -> pa.Table:
         keys = batch.filter(
@@ -273,7 +273,7 @@ def customers_without_orders(sf_dir: str, mode: str = "broadcast") -> pd.DataFra
     if mode == "join":
         from .dedup import semi_join_filter
 
-        cust = read_parquet_small(
+        cust = read_parquet(
             f"{sf_dir}/customer.parquet",
             columns=["c_custkey", "c_mktsegment"]).map_batches(
                 lambda t: t.set_column(
@@ -297,8 +297,8 @@ def customers_without_orders(sf_dir: str, mode: str = "broadcast") -> pd.DataFra
                            value_set=_cached_ref(ref))
             return batch.filter(pc.invert(hit))
 
-        ds = read_parquet_small(f"{sf_dir}/customer.parquet",
-                                columns=["c_custkey", "c_mktsegment"])
+        ds = read_parquet(f"{sf_dir}/customer.parquet",
+                          columns=["c_custkey", "c_mktsegment"])
         df = ds.map_batches(anti_filter, batch_format="pyarrow",
                             batch_size=65536).to_pandas()
     if df.empty:
@@ -323,8 +323,8 @@ def session_windows(sf_dir: str, gap_minutes: int = 30,
     avoids both the ~1 ms/group map_groups cost that a per-user
     grouping pays at millions of users AND the sort-based shuffle a
     ``Dataset.groupby`` would insert."""
-    ds = read_parquet_small(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet",
+                      columns=["event_id", "user_id", "ts", "value"])
     gap = np.timedelta64(gap_minutes * 60, "s")
 
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -357,8 +357,8 @@ def session_windows(sf_dir: str, gap_minutes: int = 30,
 def dup_event_groups(sf_dir: str) -> pd.DataFrame:
     """Duplicate-group counts over events by (user_id, event_type) —
     the phash-dup shape on a driver-provided table (A10)."""
-    ds = read_parquet_small(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    ds = read_parquet(f"{sf_dir}/events.parquet",
+                      columns=["user_id", "event_type"])
     agg = ds.groupby(["user_id", "event_type"]).aggregate(Count(alias_name="cnt"))
     df = agg.to_pandas()
     df["cnt"] = df["cnt"].astype("int64")
@@ -409,11 +409,17 @@ def asof_join(
     keeps them with null right columns.
     """
     assert how in ("inner", "left"), how
-    left_schema = left_ds.schema()
-    left_cols = [n for n in left_schema.names]
-    l_types = dict(zip(left_schema.names, left_schema.types))
     right_schema = right_ds.schema()
     r_types = dict(zip(right_schema.names, right_schema.types))
+    left_schema = left_ds.schema()
+    if left_schema is None:
+        # Ray knows no schema for a left side a row-function filter
+        # emptied; no row joins, and the join contract still types the
+        # key and time columns
+        l_types = {left_by: r_types[right_by], left_on: r_types[right_on]}
+    else:
+        l_types = dict(zip(left_schema.names, left_schema.types))
+    left_cols = list(l_types)
     payload_r = [c for c in right_cols]
     tie = [tie_col] if tie_col and tie_col not in payload_r else []
 
@@ -534,9 +540,9 @@ def events_last_order(sf_dir: str) -> pd.DataFrame:
     order at-or-before the event time (inner semantics; deterministic
     max-orderkey tie-break on same-day orders). Oracle: DuckDB
     ``ASOF JOIN`` over the identically pre-deduped order side."""
-    events = read_parquet_small(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts"])
-    orders = read_parquet_small(
+    events = read_parquet(f"{sf_dir}/events.parquet",
+                          columns=["event_id", "user_id", "ts"])
+    orders = read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice"])
     out = asof_join(

@@ -13,6 +13,8 @@ Reference parity (SURVEY.md §2.1):
 - S5 delimiter sniffing (``csv_parser.go:352-391``): head-sample count
   of , ; tab | — most frequent wins. Reimplemented.
 - S6 UTF-8 validation (``csv_parser.go:393-396``).
+- Parquet: one local reader, :func:`read_parquet`, in work units
+  planned from the files' footers; object-store URIs keep Ray's reader.
 - Lance: the north rule names Lance tables; the lib is absent in this
   sandbox, so the reader is gated behind import-try with a parquet
   fallback (same Dataset downstream).
@@ -22,9 +24,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
+import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.block import BlockMetadata
+
+from ..pipelines.exchange import cluster_cpus
 
 
 @dataclass
@@ -206,7 +214,7 @@ def read_table(path: str, columns: list[str] | None = None, **kw) -> "rd.Dataset
     if low.endswith(".csv"):
         ds = read_csv_auto(path, **kw)
         return ds.select_columns(columns) if columns else ds
-    return read_parquet_fast(path, columns=columns, **kw)
+    return read_parquet(path, columns=columns, **kw)
 
 
 def table_rows(path) -> tuple[int, list[str] | None]:
@@ -224,74 +232,6 @@ def table_rows(path) -> tuple[int, list[str] | None]:
             pass
     files = parquet_files(path)
     return parquet_footer_rows(files)[0], files
-
-
-class _LocalFooterMetadataProvider:
-    """Parquet metadata provider that reads footers serially IN-PROCESS.
-
-    Ray's default provider fan-outs footer fetches as ~6-fragment Ray
-    tasks — right for object storage, but on a LOCAL filesystem the
-    dispatch latency dominates: measured 10–16 s of read_parquet()
-    planning for an 832-file input whose footers pyarrow reads serially
-    in 0.4 s. Every pipeline over a many-file local table paid that
-    twice (main read + the dedup pre-pass's pruned read).
-
-    Defined lazily (class body at call time) because the base class
-    lives in a DeveloperAPI module.
-    """
-
-    _cls = None
-    # footer cache keyed by (path, mtime_ns, size), shared with
-    # ``_footers`` (row-count probes, the work-unit planner): a table
-    # read several times per run pays its footer reads once;
-    # invalidated automatically when the file changes
-    _cache: dict = {}
-
-    @classmethod
-    def get(cls):
-        if cls._cls is None:
-            import os as _os
-
-            from ray.data.datasource.parquet_meta_provider import (
-                ParquetMetadataProvider,
-                _fetch_metadata,
-            )
-            cache = cls._cache
-
-            class LocalFooterMetadataProvider(ParquetMetadataProvider):
-                def prefetch_file_metadata(self, fragments, **ray_remote_args):
-                    out, missing, mkeys = [], [], []
-                    for f in fragments:
-                        try:
-                            st = _os.stat(f.path)
-                            key = (f.path, st.st_mtime_ns, st.st_size)
-                        except OSError:
-                            key = None
-                        md = cache.get(key) if key is not None else None
-                        out.append(md)
-                        if md is None:
-                            missing.append(f)
-                            mkeys.append(key)
-                    if missing:
-                        if len(cache) > 65536:
-                            cache.clear()
-                        fetched = _fetch_metadata(missing)
-                        j = 0
-                        for i in range(len(out)):
-                            if out[i] is None:
-                                out[i] = fetched[j]
-                                if mkeys[j] is not None:
-                                    cache[mkeys[j]] = fetched[j]
-                                j += 1
-                    return out
-
-            cls._cls = LocalFooterMetadataProvider
-        return cls._cls
-
-
-def _is_local_path(path) -> bool:
-    p = str(path)
-    return "://" not in p or p.startswith("file://") or p.startswith("local://")
 
 
 def parquet_files(path) -> list[str]:
@@ -321,25 +261,29 @@ def parquet_footer_rows(path) -> tuple[int, int]:
     return sum(parquet_file_rows(files)), len(files)
 
 
-def _footers(files: list[str]) -> list:
-    """The footer of each local parquet file, read at most once per
-    process: the entries seed the ``read_parquet_fast`` footer cache
-    (keyed by path, mtime and size, so a changed file is re-read) and
-    also carry ``row_groups``, each row group's ``(rows, uncompressed
-    bytes)``, which :func:`plan_units` splits and packs by. An entry
-    Ray's own metadata fetch put there has no ``row_groups`` and is
-    read again.
+class Footer(NamedTuple):
+    num_rows: int
+    row_groups: list[tuple[int, int]]  # (rows, uncompressed bytes) each
+    schema: "pa.Schema"
+
+
+# footer cache keyed by (path, mtime_ns, size): a table read several
+# times per run (row-count probes, the work-unit planner, each read)
+# pays its footer reads once; a changed file is read again
+_FOOTER_CACHE: dict = {}
+
+
+def _footers(files: list[str]) -> list[Footer]:
+    """The :class:`Footer` of each local parquet file, read at most once
+    per process (see ``_FOOTER_CACHE``).
 
     Cached entries are looked up first; the misses are fetched with a
     small thread pool (pyarrow releases the GIL during file I/O, and a
     many-file table pays one open+parse per file), so a fully cached
     call starts no thread."""
     import pyarrow.parquet as pq
-    from ray.data.datasource.parquet_meta_provider import (
-        _ParquetFileFragmentMetaData,
-    )
 
-    cache = _LocalFooterMetadataProvider._cache
+    cache = _FOOTER_CACHE
 
     def key_of(f: str):
         try:
@@ -350,10 +294,10 @@ def _footers(files: list[str]) -> list:
 
     def read(f: str, key):
         md = pq.read_metadata(f)
-        meta = _ParquetFileFragmentMetaData(md)
-        meta.row_groups = [(md.row_group(i).num_rows,
-                            md.row_group(i).total_byte_size)
-                           for i in range(md.num_row_groups)]
+        meta = Footer(md.num_rows, [(md.row_group(i).num_rows,
+                                     md.row_group(i).total_byte_size)
+                                    for i in range(md.num_row_groups)],
+                      md.schema.to_arrow_schema())
         if key is not None:
             if len(cache) > 65536:
                 cache.clear()
@@ -362,8 +306,7 @@ def _footers(files: list[str]) -> list:
 
     keys = [key_of(f) for f in files]
     out = [cache.get(k) if k is not None else None for k in keys]
-    miss = [i for i, m in enumerate(out)
-            if m is None or not hasattr(m, "row_groups")]
+    miss = [i for i, m in enumerate(out) if m is None]
     if len(miss) <= 4:
         for i in miss:
             out[i] = read(files[i], keys[i])
@@ -442,54 +385,89 @@ def parquet_units(files: list[str], cpus: int) -> list:
     return plan_units(files, [m.row_groups for m in _footers(files)], cpus)
 
 
-def read_parquet_fast(path, columns: list[str] | None = None,
-                      **kw) -> "rd.Dataset":
-    """``rd.read_parquet`` with in-process footer prefetch on local
-    paths (see ``_LocalFooterMetadataProvider``); identical to the
-    stock reader for object-store URIs, where the remote-task fan-out
-    is the right call."""
+def read_unit(unit, columns: list[str] | None = None,
+              with_path: bool = False):
+    """The rows of one work unit (``[(file, [row group, ...]), ...]``,
+    see :func:`plan_units`), read piece by piece and joined into tables
+    of at most PIECE_MAX_BYTES (a piece over it alone), so a unit is
+    never held whole. With ``with_path`` each row gets a ``path`` column
+    naming its file. A unit reading no row group yields one empty table
+    with the file's schema."""
+    import pyarrow.parquet as pq
+
+    batch, size = [], 0
+    for f, groups in unit:
+        t = pq.ParquetFile(f).read_row_groups(groups, columns=columns)
+        if with_path:
+            t = t.append_column(
+                "path", pa.repeat(pa.scalar(f, pa.string()), t.num_rows))
+        if batch and size + t.nbytes > PIECE_MAX_BYTES:
+            yield pa.concat_tables(batch, promote_options="permissive")
+            batch, size = [], 0
+        batch.append(t)
+        size += t.nbytes
+    if batch:
+        yield pa.concat_tables(batch, promote_options="permissive")
+
+
+class ParquetUnitsDatasource(rd.Datasource):
+    """Local parquet ``files`` as one ``ReadTask`` per work unit
+    (:func:`parquet_units`); each task runs :func:`read_unit`. A unit's
+    size is its row groups' uncompressed bytes, all columns counted.
+    Each task carries its first file's (pruned) schema, so
+    ``Dataset.schema()`` reads no data."""
+
+    def __init__(self, files: list[str], columns: list[str] | None):
+        self.units = parquet_units(files, cluster_cpus())
+        self.columns = columns
+        self.footers = dict(zip(files, _footers(files)))
+
+    def _meta(self, unit) -> BlockMetadata:
+        groups = [self.footers[f].row_groups[i] for f, g in unit for i in g]
+        return BlockMetadata(
+            num_rows=sum(r for r, _ in groups),
+            size_bytes=sum(b for _, b in groups), exec_stats=None,
+            input_files=list(dict.fromkeys(f for f, _ in unit)))
+
+    def _schema(self, unit) -> "pa.Schema":
+        schema = self.footers[unit[0][0]].schema
+        if self.columns is None:
+            return schema
+        return pa.schema(map(schema.field, dict.fromkeys(self.columns)),
+                         metadata=schema.metadata)
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._meta(u).size_bytes for u in self.units)
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        return [rd.ReadTask(partial(read_unit, u, self.columns), self._meta(u),
+                            schema=self._schema(u))
+                for u in self.units]
+
+
+def read_parquet(path, columns: list[str] | None = None) -> "rd.Dataset":
+    """Parquet (a file, a directory or a file list) → Dataset.
+
+    A local input is read in the work units :func:`parquet_units` plans
+    from its cached footers (files from :func:`parquet_files`), one
+    ``ReadTask`` per unit, each reading only ``columns`` of its row
+    groups. At least one block per CPU: with fewer units than CPUs (a
+    one-row-group file is one unit), Ray's ``SplitBlocks`` splits the
+    read's blocks, so a downstream batched map still runs on every CPU
+    without the file being read twice. Object-store URIs keep Ray's
+    reader.
+
+    Not ``from_items(units).map_batches(read)``: that map fuses with a
+    following ``map_batches(batch_size=...)``, and the fused operator
+    keeps the unit list's task count, one task for a one-unit input. A
+    read whose blocks Ray splits is not fused with the map, which then
+    runs over the split blocks."""
     paths = path if isinstance(path, (list, tuple)) else [path]
-    if "meta_provider" not in kw and all(_is_local_path(p) for p in paths):
-        kw["meta_provider"] = _LocalFooterMetadataProvider.get()()
-    return rd.read_parquet(path, columns=columns, **kw)
-
-
-def read_parquet_small(path, columns: list[str] | None = None,
-                       rows_per_block: int = 512, max_blocks: int = 64,
-                       **kw) -> "rd.Dataset":
-    """Read a SMALL local parquet table with the block count derived
-    from the footer row count instead of Ray's decoded-size estimate.
-
-    The stock reader shattered a 580 KB / 5000-row documents file into
-    ``SplitBlocks(64)`` (~80-row blocks): 0.35–2.5 s of per-block
-    overhead per scan vs 0.07 s at footer-derived splits, and every
-    downstream ``batch_size=512`` map task pays ~7 block fetches.
-    ~``rows_per_block`` rows per block keeps a batched map stage fully
-    parallel (one task per batch) without near-empty blocks. Footer
-    reads hit the same (path, mtime, size) cache as
-    ``read_parquet_fast``. For large multi-file inputs use
-    ``read_parquet_fast`` — this helper is for small lookup /
-    driver-gate tables."""
-    paths = path if isinstance(path, (list, tuple)) else [path]
-    if "override_num_blocks" not in kw and all(_is_local_path(p) for p in paths):
-        try:
-            import pyarrow.parquet as pq
-            # expand directory inputs (fixture generators return dirs)
-            # so the footer row probe applies to them too
-            files = []
-            for p in paths:
-                sp = str(p)
-                if os.path.isdir(sp):
-                    files.extend(sorted(
-                        os.path.join(sp, f) for f in os.listdir(sp)
-                        if f.endswith(".parquet")))
-                else:
-                    files.append(sp)
-            rows = sum(pq.ParquetFile(f).metadata.num_rows
-                       for f in files)
-            kw["override_num_blocks"] = max(
-                1, min(max_blocks,
-                       (rows + rows_per_block - 1) // rows_per_block))
-        except Exception:
-            pass                      # fall back to the stock estimate
-    return read_parquet_fast(path, columns=columns, **kw)
+    if any("://" in str(p) for p in paths):
+        return rd.read_parquet(path, columns=columns)
+    files = parquet_files(path)
+    if not files:
+        raise FileNotFoundError(f"no .parquet files in {path}")
+    source = ParquetUnitsDatasource(files, columns)
+    return rd.read_datasource(
+        source, override_num_blocks=max(len(source.units), cluster_cpus()))

@@ -109,7 +109,7 @@ def finalize_decision(batch: pa.Table) -> pa.Table:
     RULE_ORDER (first violation wins)."""
     n = len(batch)
     reason = pa.array([None] * n, type=pa.string())
-    keep = pa.array([True] * n)
+    keep = pa.array([True] * n, type=pa.bool_())
     for name in RULE_ORDER:
         col = f"rule_{name}"
         if col not in batch.column_names:

@@ -441,25 +441,6 @@ def test_more_rows_than_footer_rejected(ray_session, input_files, tmp_path):
                       shard_size=2)
 
 
-def test_read_parquet_small_blocks(ray_session, tmp_path):
-    """Block count derives from footer rows (~rows_per_block per block,
-    clamped to [1, max_blocks]) so tiny tables aren't shattered into
-    near-empty SplitBlocks and a batched map stage stays parallel."""
-    from dataquality_cli_ray.sources.readers import read_parquet_small
-
-    p = str(tmp_path / "t.parquet")
-    pq.write_table(pa.table({"x": list(range(5000))}), p)
-    ds = read_parquet_small(p, rows_per_block=512)
-    assert ds.materialize().num_blocks() == 10   # ceil(5000/512)
-    assert ds.count() == 5000
-    # clamps: tiny table -> 1 block; explicit override wins
-    p2 = str(tmp_path / "u.parquet")
-    pq.write_table(pa.table({"x": [1, 2, 3]}), p2)
-    assert read_parquet_small(p2).materialize().num_blocks() == 1
-    ds3 = read_parquet_small(p, override_num_blocks=2)
-    assert ds3.materialize().num_blocks() == 2
-
-
 def test_read_csv_ragged_truncate(ray_session, tmp_path):
     """ragged="truncate" keeps every data line (reference tolerate
     semantics, FieldsPerRecord=-1): extra fields ignored, short rows

@@ -38,19 +38,19 @@ def test_lr_converges_on_separable(ray_session):
 
 
 def test_quality_lr_pipeline_deterministic(ray_session):
-    from dataquality_cli_ray.sources.readers import read_parquet_small
+    from dataquality_cli_ray.sources.readers import read_parquet
 
-    a = CL.quality_lr_pipeline(read_parquet_small(
+    a = CL.quality_lr_pipeline(read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"])
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = CL.quality_lr_pipeline(read_parquet_small(
+    b = CL.quality_lr_pipeline(read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"])
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert (a["prob"].to_numpy() == b["prob"].to_numpy()).all()
     assert len(a) == 500 and a["prob"].between(0, 1).all()
     # the model mimics its weak-label teacher on the training rule
     from dataquality_cli_ray.pipelines import textqa as TQ
-    qs = TQ.quality_scores(read_parquet_small(
+    qs = TQ.quality_scores(read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"])
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     y = (qs["quality_score"] >= 0.8).astype(int).to_numpy()

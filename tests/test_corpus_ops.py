@@ -799,7 +799,7 @@ def test_dsir_select_matches_sql_and_hashed_mode(ray_session):
     from dataquality_cli_ray.entrypoints import (
         q_docs_dsir_select, sql_docs_dsir_select)
     from dataquality_cli_ray.pipelines.corpus_ops import dsir_select
-    from dataquality_cli_ray.sources.readers import read_parquet_small
+    from dataquality_cli_ray.sources.readers import read_parquet
 
     out = q_docs_dsir_select(SF)
     con = duckdb.connect()
@@ -810,8 +810,8 @@ def test_dsir_select_matches_sql_and_hashed_mode(ray_session):
     assert (out["selected"].to_numpy() == o["selected"].to_numpy()).all()
     assert 0 < out["selected"].sum() < len(out)
 
-    docs = read_parquet_small(f"{SF}/documents.parquet",
-                              columns=["doc_id", "text", "lang"])
+    docs = read_parquet(f"{SF}/documents.parquet",
+                        columns=["doc_id", "text", "lang"])
     hashed = (dsir_select(docs, hash_buckets=1 << 16)
               .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert (hashed["selected"].to_numpy() == out["selected"].to_numpy()).all()

@@ -323,10 +323,10 @@ def test_hamming_neardup_exact_vs_bruteforce(ray_session):
     force pair set (recall 1.0 is guaranteed for radius <= nbands-1;
     precision 1.0 from the in-bucket popcount verify)."""
     from dataquality_cli_ray.fixtures.images import generate_images_parquet
-    from dataquality_cli_ray.sources.readers import read_parquet_small
+    from dataquality_cli_ray.sources.readers import read_parquet
 
     path = generate_images_parquet(2000, use_ray=False)
-    ds = read_parquet_small(path, columns=["image_id", "phash"])
+    ds = read_parquet(path, columns=["image_id", "phash"])
     got = (DD.hamming_neardup_pairs(ds, "phash", "image_id", max_hamming=3)
            .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
 

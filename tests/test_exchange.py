@@ -134,8 +134,6 @@ def test_private_ray_api_guard():
     touches the cluster size and the internal block bundles."""
     from ray.data._internal.datasource.json_datasource import (  # noqa: F401
         JSON_FILE_EXTENSIONS)
-    from ray.data.datasource.parquet_meta_provider import (  # noqa: F401
-        _fetch_metadata, _ParquetFileFragmentMetaData)
 
     offenders = []
     for root, _, files in os.walk(PKG):

@@ -282,6 +282,26 @@ def test_describe_file_matches_dataset_describe(ray_session, tmp_path):
         np.testing.assert_allclose(got[c], want[c], rtol=1e-12)
 
 
+def test_describe_file_skips_hidden_and_underscore_files(ray_session,
+                                                        tmp_path):
+    """describe_file over a directory lists it as every reader does:
+    ``.x.parquet`` and ``_x.parquet`` files are not profiled."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from dataquality_cli_ray.pipelines.profiler import describe_file
+
+    t = pq.read_table(f"{SF_SMOKE}/nation.parquet")
+    clean, junk = tmp_path / "clean", tmp_path / "junk"
+    for d in (clean, junk):
+        d.mkdir()
+        pq.write_table(t, str(d / "a.parquet"))
+    pq.write_table(t.slice(0, 5), str(junk / ".x.parquet"))
+    pq.write_table(t.slice(5, 5), str(junk / "_x.parquet"))
+    pd.testing.assert_frame_equal(describe_file(str(junk)).to_pandas(),
+                                  describe_file(str(clean)).to_pandas())
+
+
 def _describe_args(path, recursive=False, mode="exact"):
     import argparse
 

@@ -266,32 +266,6 @@ def test_unknown_modes_rejected(ray_session, images_path):
             phash_dup_losers(images_path, mode=mode)
 
 
-def test_pipeline_metrics_from_stats(ray_session, images_path, models):
-    """pipeline_metrics parses Ray Data's executed stats into per-stage
-    {wall_s, cpu_s, rows_out} (the north rule's per-stage throughput
-    metrics) — operators present, flagship row count at the sink."""
-    from dataquality_cli_ray.pipelines.quality import (
-        images_quality_pipeline, pipeline_metrics)
-    from dataquality_cli_ray.stages.rules import QualityConfig
-
-    out = images_quality_pipeline(images_path, QualityConfig(),
-                                  langid_model=models[0],
-                                  ppl_model=models[1])
-    n = 0                                # consume THIS plan (count()
-    for b in out.iter_batches(batch_format="pyarrow"):   # runs a new one)
-        n += b.num_rows
-    m = pipeline_metrics(out)
-    assert m, "no operators parsed from stats"
-    measured = {op: r for op, r in m.items()
-                if r["wall_s"] is not None and r["rows_out"] is not None}
-    assert measured, f"no measured operators in {m}"
-    for op, row in measured.items():
-        assert set(row) >= {"wall_s", "cpu_s", "rows_out"}, (op, row)
-        assert row["wall_s"] >= 0 and row["rows_out"] >= 0
-    # the terminal operator emitted every surviving row
-    assert max(r["rows_out"] for r in measured.values()) >= n > 0
-
-
 FUSED_OP = "MapBatches(_label_task_fn)"
 
 
@@ -479,3 +453,24 @@ def test_default_fused_stage_computes_no_pixel_features(models, monkeypatch):
     assert "decode_error" in set(out["drop_reason"].to_pylist())
     with pytest.raises(AssertionError, match="pixel features computed"):
         QualityFusedStage(QualityConfig(min_contrast=1.0), lm, pm)(batch)
+
+
+def test_zero_row_batch_finalizes_typed(models):
+    """The fused stage, dup marking and finalize_decision on a zero-row
+    batch give zero rows with a bool ``keep`` and a string
+    ``drop_reason`` (an untyped keep array made ``and`` raise)."""
+    import numpy as np
+    import ray
+
+    from dataquality_cli_ray.fixtures.images import gen_rows
+    from dataquality_cli_ray.pipelines import quality as Q
+    from dataquality_cli_ray.stages.rules import finalize_decision
+
+    cfg = QualityConfig()
+    batch = gen_rows(np.arange(4), 4).slice(0, 0)
+    stage = Q.QualityFusedStage(cfg, ray.put(models[0]), ray.put(models[1]))
+    out = finalize_decision(Q._mark_dup(stage(batch),
+                                        *Q.dup_losers_from_table(batch)))
+    assert out.num_rows == 0
+    assert out.schema.field("keep").type == pa.bool_()
+    assert out.schema.field("drop_reason").type == pa.string()

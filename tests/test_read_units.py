@@ -1,9 +1,12 @@
-"""The quality path's parquet read: work units planned from footers
-(``sources.readers.plan_units``), and the flagship's output whatever
-the file layout."""
+"""The local parquet read: work units planned from footers
+(``sources.readers.plan_units``), the one reader over them
+(``read_parquet``), and the flagship's output whatever the file
+layout."""
 
 import pandas as pd
 import pyarrow.parquet as pq
+
+from tests.conftest import SF_SMOKE
 
 from dataquality_cli_ray.sources import readers as R
 from dataquality_cli_ray.sources.readers import PIECE_MAX_BYTES, plan_units
@@ -131,7 +134,7 @@ def test_unit_over_piece_max_bytes_labels_in_batches(ray_session, images_path,
     one = list(Q._label_task_fn(units, **kw))
     assert len(one) == 1 and one[0].num_rows == 600
     monkeypatch.setattr(R, "PIECE_MAX_BYTES", t.nbytes // 3)
-    batches = list(Q._unit_batches(units, True))
+    batches = list(R.read_unit([(f, [i]) for i in range(8)], with_path=True))
     assert len(batches) > 2
     assert all(b.nbytes <= R.PIECE_MAX_BYTES for b in batches)
     assert sum(b.num_rows for b in batches) == 600
@@ -189,3 +192,65 @@ def test_cached_footers_start_no_thread(tmp_path, monkeypatch):
     pq.write_table(pa.table({"x": list(range(20))}), files[3])
     assert R._footers(files)[3].num_rows == 20
     assert read == [files[3]]
+
+
+def _read_frame(ds):
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
+
+
+def test_read_parquet_equals_pyarrow(ray_session, tmp_path):
+    """read_parquet gives pq.read_table's frame for one file, a
+    directory (hidden and underscore files skipped), a multi-row-group
+    file, a column subset, and a zero-row file (schema kept)."""
+    import pyarrow as pa
+
+    t = pq.read_table(f"{SF_SMOKE}/orders.parquet")
+    one = str(tmp_path / "one.parquet")
+    pq.write_table(t, one)
+    d = tmp_path / "dir"
+    d.mkdir()
+    for i in range(3):
+        pq.write_table(t.slice(i * 500, 500), str(d / f"part-{i}.parquet"))
+    for junk in (".x.parquet", "_x.parquet"):
+        pq.write_table(t.slice(0, 7), str(d / junk))
+    many = str(tmp_path / "many.parquet")
+    pq.write_table(t, many, row_group_size=100)
+    assert pq.ParquetFile(many).metadata.num_row_groups > 4
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(t.slice(0, 0), empty)
+
+    def same(path, want, columns=None):
+        pd.testing.assert_frame_equal(
+            _read_frame(R.read_parquet(path, columns=columns)),
+            want.to_pandas())
+
+    same(one, t)
+    same(str(d), pa.concat_tables([t.slice(i * 500, 500) for i in range(3)]))
+    same(many, t)
+    same(many, t.select(["o_orderkey", "o_orderpriority"]),
+         columns=["o_orderkey", "o_orderpriority"])
+    same(empty, t.slice(0, 0))
+    assert R.read_parquet(empty).schema().names == t.schema.names
+
+
+def test_one_row_group_file_runs_on_every_cpu(ray_session, tmp_path):
+    """A one-row-group file is one work unit, yet a batched map over its
+    read runs as several tasks at 4 CPUs: the read's blocks are split
+    before the map (a from_items read fused with the map would run the
+    whole file as one task)."""
+    import re
+
+    import pyarrow as pa
+
+    f = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": list(range(4096))}), f)
+    assert len(R.parquet_units([f], 4)) == 1
+    ds = R.read_parquet(f).map_batches(lambda b: b, batch_size=512,
+                                       batch_format="pyarrow").materialize()
+    assert ds.count() == 4096
+    tasks = re.search(r"MapBatches\(<lambda>\): (\d+) tasks executed",
+                      ds.stats())
+    assert int(tasks.group(1)) >= 2, ds.stats()

@@ -142,3 +142,17 @@ def test_tree_grouped_agg_semantics(ray_session):
     assert out["n_rows"].tolist() == ref["n_rows"].tolist()
     np.testing.assert_allclose(out["v_sum"], ref["v_sum"], rtol=1e-12)
     np.testing.assert_allclose(out["v_mean"], ref["v_mean"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_asof_left_emptied_by_filter(ray_session, how):
+    """A left side a row-function filter emptied (Ray knows no schema
+    for it) joins to zero rows with the join contract's columns."""
+    left, right = _mk([(1, 7, "2024-01-05")], [(7, "2024-01-01", 10)])
+    left = left.filter(lambda r: False)
+    out = asof_join(left, right, left_on="ts", right_on="o_orderdate",
+                    left_by="user_id", right_by="o_custkey",
+                    right_cols=["o_orderkey"], how=how, num_buckets=4)
+    t = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert t.num_rows == 0
+    assert t.schema.names == ["user_id", "ts", "o_orderkey"]

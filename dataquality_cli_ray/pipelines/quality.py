@@ -387,9 +387,10 @@ class QualityFusedStage:
     ``scripts/kernel_probe.py``). langid and perplexity share the
     batch's lowered, padded caption buffer and, block by block, one
     rolling hash (``functions.text.CaptionGrams``). Models are fetched
-    from the object store ONCE per worker process (first call on a task
-    worker, via the module cache below). A text-only table (no image
-    payload column) skips the decode and the gates on its columns.
+    from the object store once per worker process and model pair (first
+    call on a task worker, via the module cache below). A text-only
+    table (no image payload column) skips the decode and the gates on
+    its columns.
 
     The decode always runs its payload parse (decode_error and the
     decoded dims). Its pixel-feature pass runs only when the
@@ -467,8 +468,8 @@ class QualityFusedStage:
 
 
 # per-WORKER-PROCESS cache (actor `__init__` semantics without a fixed
-# pool): the fused stage and the loser map load once per worker and
-# plan, keyed on every ref and the whole config.
+# pool): the fused stage loads once per worker, model pair and config.
+# The loser map is not in the key: each task fetches its plan's own.
 _TASK_CACHE: dict = {}
 
 
@@ -479,13 +480,12 @@ def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
     lists) with the fused stage, dup marking and the keep/drop decision,
     yielding one labeled table per batch; a ``path`` column is kept for
     the CLI."""
-    key = (langid_ref.hex(), ppl_ref.hex(), dup_ref.hex(), cfg)
+    key = (langid_ref.hex(), ppl_ref.hex(), cfg)
     if key not in _TASK_CACHE:
-        if len(_TASK_CACHE) >= 4:          # old plans' models
+        if len(_TASK_CACHE) >= 4:          # old models' stages
             _TASK_CACHE.clear()
-        _TASK_CACHE[key] = (QualityFusedStage(cfg, langid_ref, ppl_ref),
-                            ray.get(dup_ref))
-    stage, lookup = _TASK_CACHE[key]
+        _TASK_CACHE[key] = QualityFusedStage(cfg, langid_ref, ppl_ref)
+    stage, lookup = _TASK_CACHE[key], ray.get(dup_ref)
     batches = read_unit(zip(chain(*batch["paths"].to_pylist()),
                             chain(*batch["row_groups"].to_pylist())),
                         with_path=with_path) if units else (batch,)
@@ -496,18 +496,52 @@ def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
             ["path"] if "path" in out.column_names else []))
 
 
+# per-DRIVER-PROCESS map id(model) -> (model, ref, session) of the last
+# plan's model pair: a plan over the same model objects reuses their
+# refs instead of putting them again. The entry holds the model, so its
+# id is not reused while the entry lives, and ``is`` confirms the hit;
+# the session's (node, job) ids drop refs of an earlier Ray session or
+# connection. Only the last pair is kept: a caller that passes fresh
+# models to every plan would otherwise pin old ones.
+_MODEL_REFS: dict = {}
+
+
+def _model_refs(*models) -> list:
+    """An object-store ref for each of ``models``, put only when it is a
+    model object the last call did not put in this Ray session (a model
+    changed in place keeps its old ref: pass a new object instead)."""
+    ctx = ray.get_runtime_context()
+    session = ctx.get_node_id(), ctx.get_job_id()
+    refs = []
+    for m in models:
+        hit = _MODEL_REFS.get(id(m))
+        refs.append(hit[1] if hit is not None and hit[0] is m
+                    and hit[2] == session else ray.put(m))
+    _MODEL_REFS.clear()
+    _MODEL_REFS.update((id(m), (m, r, session))
+                       for m, r in zip(models, refs))
+    return refs
+
+
 def _label_step(ds: "rd.Dataset", dup_map: tuple, cfg: QualityConfig,
                 langid_model: dict | None, ppl_model: dict | None,
                 **units) -> "rd.Dataset":
-    """``ds`` with :func:`_label_task_fn` as one whole-block map step;
-    models (default: :func:`build_models`) and ``dup_map`` ship once."""
+    """``ds`` with :func:`_label_task_fn` as one whole-block map step.
+    The caller's models ship once per driver process per model object: a
+    later plan over the same objects reuses their refs, so each worker
+    keeps the fused stage it built for them. Models this call builds
+    (:func:`build_models`, when either is None) are new objects that no
+    later plan passes, so they are put without entering the map, which
+    would only pin them. ``dup_map`` ships once per plan."""
     if langid_model is None or ppl_model is None:
         lm, pm = build_models()
         langid_model, ppl_model = langid_model or lm, ppl_model or pm
+        langid_ref, ppl_ref = ray.put(langid_model), ray.put(ppl_model)
+    else:
+        langid_ref, ppl_ref = _model_refs(langid_model, ppl_model)
     return ds.map_batches(
         _label_task_fn,
-        fn_kwargs={"cfg": cfg, "langid_ref": ray.put(langid_model),
-                   "ppl_ref": ray.put(ppl_model),
+        fn_kwargs={"cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,
                    "dup_ref": ray.put(dup_map), **units},
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
     )

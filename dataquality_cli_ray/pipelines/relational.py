@@ -410,18 +410,24 @@ def asof_join(
     """
     assert how in ("inner", "left"), how
     right_schema = right_ds.schema()
-    r_types = dict(zip(right_schema.names, right_schema.types))
+    tie = [tie_col] if tie_col and tie_col not in right_cols else []
+    if right_schema is None:
+        # Ray knows no schema for a side a row-function filter emptied.
+        # An empty right side matches no left row: its columns come out
+        # null-typed ("inner" keeps no row, "left" keeps every left row)
+        r_types = {c: pa.null() for c in right_cols + tie}
+    else:
+        r_types = dict(zip(right_schema.names, right_schema.types))
     left_schema = left_ds.schema()
     if left_schema is None:
-        # Ray knows no schema for a left side a row-function filter
-        # emptied; no row joins, and the join contract still types the
-        # key and time columns
-        l_types = {left_by: r_types[right_by], left_on: r_types[right_on]}
+        # an emptied left side: no row joins, and the join contract
+        # still types the key and time columns from the right side
+        l_types = {left_by: r_types.get(right_by, pa.int64()),
+                   left_on: r_types.get(right_on, pa.null())}
     else:
         l_types = dict(zip(left_schema.names, left_schema.types))
     left_cols = list(l_types)
     payload_r = [c for c in right_cols]
-    tie = [tie_col] if tie_col and tie_col not in payload_r else []
 
     # one superset schema both sides map onto (order fixed)
     uni_fields = (

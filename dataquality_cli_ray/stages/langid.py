@@ -1,6 +1,8 @@
 """Language identification — a fastText-style hashed char-n-gram
-classifier run in ``map_batches`` tasks (the scorer is built once per
-worker process and cached by the caller, then scores every batch).
+classifier run in ``map_batches`` tasks. The flagship puts each model
+object in the object store once per driver process and caches the
+scorer per worker process on that model's ref, so plans over the same
+model objects neither re-ship nor rebuild it.
 
 Reference analogue: the per-value type probe M3
 (``adaptive_streaming_engine.go:221-234``) — classify each value once —
@@ -9,14 +11,15 @@ profiles (Cavnar & Trenkle) / fastText's hashed n-gram bag.
 
 Model = {langs: [L], profiles: float32 (L, D) row-normalized}. Scoring
 counts each caption's hashed n-grams sparsely and takes its cosine with
-every profile; prediction = argmax cosine, score = max cosine. The
-n-grams come from the batch's ``CaptionGrams`` (``functions/text.py``):
-in the flagship's fused stage that one lowered buffer and rolling hash
-also feed the perplexity scorer. Deterministic: hashing uses a fixed
-polynomial hash (no PYTHONHASHSEED), training order-insensitive (pure
-counts). Training counts the whole labeled corpus in one sparse pass
-(one hash over all texts, one ``bincount`` per label), in the driver
-and in the per-batch partials alike.
+every profile, all languages in one gather and one segmented sum over
+the caption's (row, bucket) runs; prediction = argmax cosine, score =
+max cosine. The n-grams come from the batch's ``CaptionGrams``
+(``functions/text.py``): in the flagship's fused stage that one lowered
+buffer and rolling hash also feed the perplexity scorer. Deterministic:
+hashing uses a fixed polynomial hash (no PYTHONHASHSEED), training
+order-insensitive (pure counts). Training counts the whole labeled
+corpus in one sparse pass (one hash over all texts, one ``bincount``
+per label), in the driver and in the per-batch partials alike.
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ class LangIdScorer:
     (max cosine) + ``rule_lang_unknown``.
 
     Pass ``model_ref`` as a ``ray.put`` ObjectRef so the (L, D) profile
-    matrix ships to each worker ONCE (callers cache the scorer per
-    worker process), not per batch; a plain dict also works for tests.
+    matrix ships to each worker once per model object (the flagship
+    caches the scorer per worker process on the ref), not per batch or
+    per plan; a plain dict also works for tests.
     A caller that already holds the batch's :class:`CaptionGrams` of
     ``text_col`` passes it as ``grams`` (the flagship's fused stage
     shares one with the perplexity scorer); otherwise the call builds
@@ -127,11 +131,13 @@ class LangIdScorer:
         else:
             model = model_ref
         self.langs = pa.array(list(model["langs"]), type=pa.string())
-        # each language's float64 profile as its own contiguous row:
-        # the sparse scoring pass gathers it by bucket id
-        self.profiles = [np.ascontiguousarray(p, dtype=np.float64)
-                         for p in model["profiles"]]
-        self.dim = model["dim"]
+        # the (L + 1, dim) table the scoring pass gathers by bucket id:
+        # the L float64 profiles, then a row of ones whose gathered
+        # products become each run's squared count
+        L = len(self.langs)
+        self.table = np.ones((L + 1, model["dim"]), dtype=np.float64)
+        self.table[:L] = model["profiles"]
+        self.dim = int(model["dim"])
         self.n = model["n"]
         self.text_col = text_col
         self.min_score = min_score
@@ -159,10 +165,16 @@ class LangIdScorer:
         bottleneck at full parallelism — BASELINE.md round 3); one
         in-place sort of the (row, bucket) keys gives the per-(row,
         bucket) counts, touching only the ~100 n-gram occurrences a
-        caption actually has. The key stays uint32 where it fits."""
-        m, dim = grams.m, self.dim
+        caption actually has. The key stays uint32 where it fits.
+
+        Every language is scored in one pass over the runs: one gather
+        of the (L + 1, dim) table, each column times its run's count
+        (the ones row twice, giving the squared count), and one
+        segmented sum over each row's runs. Rows with no n-gram score 0
+        with norm 1."""
+        m, dim, L = grams.m, self.dim, len(self.langs)
         row_of, buckets = grams.ngram_rows(self.n, dim)
-        sims = np.zeros((m, len(self.langs)), dtype=np.float64)
+        sims = np.zeros((m, L), dtype=np.float64)
         if len(row_of):
             if m * dim < (1 << 32):
                 key = row_of.view(np.uint32) * np.uint32(dim)
@@ -179,17 +191,26 @@ class LangIdScorer:
             cf = np.empty(len(starts), dtype=np.float64)
             np.subtract(starts[1:], starts[:-1], out=cf[:-1])
             cf[-1] = len(key) - starts[-1]
-            # the sort permutes keys within their row only, so each
-            # run's row is its first window's
-            rows = row_of[starts].astype(np.intp)
-            bkt = key[starts] - rows * dim
-            w = np.multiply(cf, cf)
-            norms = np.sqrt(np.bincount(rows, weights=w, minlength=m))
-            norms[norms == 0] = 1.0
-            for li, prof in enumerate(self.profiles):
-                np.take(prof, bkt, out=w)
-                w *= cf
-                sims[:, li] = np.bincount(rows, weights=w, minlength=m)
-            sims /= norms[:, None]
+            if key.dtype == np.uint32 and dim & (dim - 1) == 0:
+                k = key[starts]
+                rows = k >> np.uint32(dim.bit_length() - 1)
+                bkt = k & np.uint32(dim - 1)
+            else:
+                # the sort permutes keys within their row only, so each
+                # run's row is its first window's
+                rows = row_of[starts].astype(np.intp)
+                bkt = key[starts] - rows * dim
+            # every bucket is < dim, so "clip" only skips the bounds check
+            g = np.take(self.table, bkt, axis=1, mode="clip")
+            g *= cf
+            g[L] *= cf
+            # each row's first run
+            rfirst = np.empty(len(rows), dtype=bool)
+            rfirst[0] = True
+            np.not_equal(rows[1:], rows[:-1], out=rfirst[1:])
+            rstarts = np.flatnonzero(rfirst)
+            sums = np.add.reduceat(g, rstarts, axis=1)
+            sums[:L] /= np.sqrt(sums[L])
+            sims[rows[rstarts]] = sums[:L].T
         best = sims.argmax(axis=1)
         return best, sims[np.arange(m), best]

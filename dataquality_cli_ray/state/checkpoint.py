@@ -259,13 +259,15 @@ def lineage_report(out_root: str) -> dict:
 
 def drop_reason_lineage(out_dir: str) -> dict:
     """Default lineage_fn: per-rule counters from the shard's own output
-    (column-pruned read of drop_reason only)."""
+    (column-pruned read of drop_reason only, one ``ParquetFile`` per
+    part: ``pq.read_table`` would run dataset discovery on each)."""
     counts: dict[str, int] = {}
     for root, _, files in os.walk(out_dir):
         for f in files:
             if not f.endswith(".parquet"):
                 continue
-            t = pq.read_table(os.path.join(root, f), columns=["drop_reason"])
+            t = pq.ParquetFile(os.path.join(root, f)).read(
+                columns=["drop_reason"])
             vc = t["drop_reason"].combine_chunks().value_counts()
             for s in vc:
                 key = s["values"].as_py() or "KEEP"

@@ -1,11 +1,12 @@
-"""Per-step thread CPU of the flagship's fused task over one work unit.
+"""Per-step process CPU of the flagship's fused task over one work unit.
 
 Writes one 4,096-row work unit of the benchmark's image input (4 parquet
 files of 1,024 ``fixtures.images.gen_rows`` rows, the first half of the
-8-file seeded table) to a temporary directory, reads it as the quality
-path reads a unit (one table per file piece, joined into one block), and
-runs the steps of ``QualityFusedStage`` and the mark + finalize step in
-the task's order, timing each with ``time.thread_time``. "caption
+8-file seeded table) to a temporary directory, reads it with the task's
+own reader (``sources.readers.read_unit``), and runs the steps of
+``QualityFusedStage`` and the mark + finalize step in the task's order,
+timing each with ``time.process_time``: Arrow decodes parquet on its
+own threads, which a calling thread's CPU clock does not see. "caption
 buffer" is the batch's lowered, padded caption buffer
 (``CaptionGrams``); each block's rolling hash is swept on first use, so
 it counts under langid, and perplexity reuses it. The chain's
@@ -35,6 +36,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from dataquality_cli_ray.fixtures.images import gen_rows  # noqa: E402
 from dataquality_cli_ray.functions.text import CaptionGrams  # noqa: E402
 from dataquality_cli_ray.pipelines import quality as Q  # noqa: E402
+from dataquality_cli_ray.sources.readers import read_unit  # noqa: E402
 from dataquality_cli_ray.stages.rules import (  # noqa: E402
     QualityConfig, finalize_decision)
 
@@ -53,17 +55,17 @@ def write_unit(d: str, seed: int) -> list[str]:
     return files
 
 
-def run_chain(files, stage, lookup, cfg, cpu):
-    """The fused task's steps in order, adding each one's thread CPU
-    seconds to ``cpu``; returns the task's output table."""
+def run_chain(unit, stage, lookup, cfg, cpu):
+    """The fused task's steps in order over ``unit`` (one batch of
+    :func:`read_unit`), adding each one's process CPU seconds to
+    ``cpu``; returns the task's output table."""
     def step(name, fn, *args):
-        c0 = time.thread_time()
+        c0 = time.process_time()
         out = fn(*args)
-        cpu[name] += time.thread_time() - c0
+        cpu[name] += time.process_time() - c0
         return out
 
-    t = step("read", lambda: pa.concat_tables(
-        [pq.ParquetFile(f).read() for f in files]))
+    t, = step("read", lambda: list(read_unit(unit)))
     t = step("rules", stage.rules, t)
     t = step("decode parse", stage.decode, t).drop_columns(["bytes"])
     grams = step("caption buffer", CaptionGrams, t["caption_trimmed"])
@@ -87,6 +89,8 @@ def main(argv=None) -> None:
     stage = Q.QualityFusedStage(cfg, lm, pm)
     with tempfile.TemporaryDirectory() as d:
         files = write_unit(d, args.seed)
+        unit = [(f, list(range(pq.ParquetFile(f).num_row_groups)))
+                for f in files]
         batch = pa.concat_tables([pq.read_table(f) for f in files])
         lookup = Q.dup_losers_from_table(batch)
         want = finalize_decision(Q._mark_dup(
@@ -95,13 +99,13 @@ def main(argv=None) -> None:
         per_rep = []
         for _ in range(args.reps):
             cpu = dict.fromkeys(STEPS, 0.0)
-            got = run_chain(files, stage, lookup, cfg, cpu)
+            got = run_chain(unit, stage, lookup, cfg, cpu)
             per_rep.append(cpu)
         if not got.equals(want):
             raise SystemExit("the probe's chain differs from the fused stage")
     rows = batch.num_rows
     print(f"{'step':<16}{'us/row':>9}{'IQR':>7}   "
-          f"({rows} rows, seed {args.seed}, {args.reps} reps, thread CPU)")
+          f"({rows} rows, seed {args.seed}, {args.reps} reps, process CPU)")
     for name in STEPS + ("total",):
         v = np.array([sum(r.values()) if name == "total" else r[name]
                       for r in per_rep]) / rows * 1e6

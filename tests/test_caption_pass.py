@@ -135,6 +135,26 @@ def test_fused_caption_pass_equals_standalone_and_oracles(
     assert fused["ppl"].to_pylist() == _ppl_oracle(pm, trimmed)
 
 
+def test_langid_int64_key_block_equals_oracle():
+    """A block of m rows with m * dim >= 2**32 keys its (row, bucket)
+    runs in int64, not uint32: at dim 2**20 one block of 5,000 short
+    captions (a uint32 key would wrap from row 4,096 on) scores as the
+    per-text oracle does."""
+    texts, labels = seed_corpus(n_per_lang=60)
+    lm = train_langid_model(texts, labels, dim=1 << 20)
+    words = [w for t in texts for w in t.split()]
+    rng = np.random.default_rng(11)
+    caps = EDGE[:9] + [" ".join(rng.choice(words, rng.integers(1, 4)))[:20]
+                       for _ in range(5000 - 9)]
+    grams = T.CaptionGrams(caps)
+    assert grams.m * lm["dim"] >= 1 << 32
+    assert len(list(grams.blocks())) == 1
+    out = LangIdScorer(lm, text_col="caption")(pa.table({"caption": caps}))
+    preds, scores = _langid_oracle(lm, caps)
+    assert out["lang_pred"].to_pylist() == preds
+    assert out["lang_score"].to_pylist() == scores
+
+
 def test_multi_block_batch_equals_one_text_at_a_time(models):
     """A batch over several caption blocks labels each row as a batch
     holding that row alone."""

@@ -233,6 +233,119 @@ def test_stage_cache_keyed_on_whole_config(ray_session, models):
     assert reasons(QualityConfig()) == loose
 
 
+def _plan_labels(ds, dup_map, cfg, lm, pm):
+    from dataquality_cli_ray.pipelines.quality import quality_pipeline
+
+    out = quality_pipeline(ds, dup_map, cfg, lm, pm).to_pandas()
+    return out.sort_values("image_id").reset_index(drop=True)
+
+
+def _local_labels(batch, dup_map, cfg, lm, pm):
+    from dataquality_cli_ray.pipelines import quality as Q
+    from dataquality_cli_ray.stages.rules import finalize_decision
+
+    out = finalize_decision(Q._mark_dup(
+        Q.QualityFusedStage(cfg, lm, pm)(batch), *dup_map, cfg.dedup_key,
+        cfg.id_col)).select(Q._out_cols(cfg)).to_pandas()
+    return out.sort_values("image_id").reset_index(drop=True)
+
+
+def test_models_put_once_per_model_object(ray_session, models,
+                                          monkeypatch):
+    """Plans over the same model objects put each model once; a new
+    model object (even an equal one) is put again, and so is every
+    model in a new Ray session."""
+    import ray
+
+    from dataquality_cli_ray.fixtures.images import gen_rows
+    from dataquality_cli_ray.pipelines import quality as Q
+
+    lm, pm = dict(models[0]), dict(models[1])
+    batch = gen_rows(np.arange(200), 200)
+    ds = ray.data.from_arrow(batch)
+    dup_map = Q.dup_losers_from_table(batch)
+    puts = []
+    put = ray.put
+    monkeypatch.setattr(ray, "put", lambda v: puts.append(v) or put(v))
+
+    def plan(lm, pm):
+        return Q.quality_pipeline(ds, dup_map, QualityConfig(), lm, pm)
+
+    def model_puts():
+        return [id(v) for v in puts if isinstance(v, dict)]
+
+    first = plan(lm, pm)
+    assert model_puts() == [id(lm), id(pm)]
+    plan(lm, pm)
+    assert model_puts() == [id(lm), id(pm)]
+    lm2 = dict(lm)
+    last = plan(lm2, pm)
+    assert model_puts() == [id(lm), id(pm), id(lm2)]
+    ctx = ray.get_runtime_context()
+
+    class NewSession:
+        def get_node_id(self):
+            return "another node"
+
+        def get_job_id(self):
+            return ctx.get_job_id()
+
+    with monkeypatch.context() as m:
+        m.setattr(ray, "get_runtime_context", NewSession)
+        plan(lm2, pm)
+    assert model_puts() == [id(lm), id(pm), id(lm2), id(lm2), id(pm)]
+    monkeypatch.undo()
+    pd.testing.assert_frame_equal(
+        last.to_pandas().sort_values("image_id").reset_index(drop=True),
+        first.to_pandas().sort_values("image_id").reset_index(drop=True))
+
+
+def test_reused_langid_new_ppl_model_labels_follow_it(ray_session, models):
+    """A plan that keeps the langid model object but passes a new
+    perplexity model labels with the new one."""
+    import ray
+
+    from dataquality_cli_ray.fixtures.images import gen_rows, seed_corpus
+    from dataquality_cli_ray.pipelines.quality import dup_losers_from_table
+    from dataquality_cli_ray.stages.perplexity import train_char_lm
+
+    lm, pm = models
+    pm2 = train_char_lm(seed_corpus(seed=5)[0][:40])
+    batch = gen_rows(np.arange(600), 600)
+    ds = ray.data.from_arrow(batch)
+    dup_map = dup_losers_from_table(batch)
+    cfg = QualityConfig()
+    before = _plan_labels(ds, dup_map, cfg, lm, pm)
+    after = _plan_labels(ds, dup_map, cfg, lm, pm2)
+    assert not np.array_equal(before["ppl"], after["ppl"])
+    pd.testing.assert_frame_equal(
+        after, _local_labels(batch, dup_map, cfg, lm, pm2))
+
+
+def test_reused_models_new_dup_map_labels_follow_it(ray_session, models):
+    """Plans over the same models and config but a different dup map
+    mark ``phash_dup`` by the map each plan ships."""
+    import ray
+
+    from dataquality_cli_ray.fixtures.images import gen_rows
+    from dataquality_cli_ray.pipelines.quality import (
+        _empty_lookup, dup_losers_from_table)
+
+    lm, pm = models
+    batch = gen_rows(np.arange(600), 600)
+    ds = ray.data.from_arrow(batch)
+    cfg = QualityConfig()
+    dup_map = dup_losers_from_table(batch)
+    marked = _plan_labels(ds, dup_map, cfg, lm, pm)
+    unmarked = _plan_labels(ds, _empty_lookup(), cfg, lm, pm)
+    assert (marked["drop_reason"] == "phash_dup").sum() > 0
+    assert (unmarked["drop_reason"] == "phash_dup").sum() == 0
+    pd.testing.assert_frame_equal(
+        unmarked, _local_labels(batch, _empty_lookup(), cfg, lm, pm))
+    pd.testing.assert_frame_equal(_plan_labels(ds, dup_map, cfg, lm, pm),
+                                  marked)
+
+
 def test_stray_non_parquet_file_skipped(ray_session, images_path, models,
                                         pipeline_and_golden, tmp_path):
     """A non-parquet file next to the input's parquet files is skipped:

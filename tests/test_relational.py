@@ -156,3 +156,35 @@ def test_asof_left_emptied_by_filter(ray_session, how):
     t = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
     assert t.num_rows == 0
     assert t.schema.names == ["user_id", "ts", "o_orderkey"]
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_asof_right_emptied_by_filter(ray_session, how):
+    """A right side a row-function filter emptied (Ray knows no schema
+    for it) matches no left row: "inner" returns no rows, "left" every
+    left row with null right columns. With both sides emptied the join
+    returns no rows."""
+    left, right = _mk([(1, 7, "2024-01-05"), (2, 8, "2024-01-06")],
+                      [(7, "2024-01-01", 10)])
+    right = right.filter(lambda r: False)
+    out = asof_join(left, right, left_on="ts", right_on="o_orderdate",
+                    left_by="user_id", right_by="o_custkey",
+                    right_cols=["o_orderkey"], tie_col="o_orderkey",
+                    how=how, num_buckets=4)
+    t = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert t.schema.names == ["user_id", "ts", "event_id", "o_orderkey"]
+    if how == "inner":
+        assert t.num_rows == 0
+    else:
+        t = t.sort_by("event_id")
+        assert t["event_id"].to_pylist() == [1, 2]
+        assert t["user_id"].to_pylist() == [7, 8]
+        assert t["o_orderkey"].null_count == 2
+    # both sides emptied: no row, the contract's columns
+    out = asof_join(left.filter(lambda r: False), right, left_on="ts",
+                    right_on="o_orderdate", left_by="user_id",
+                    right_by="o_custkey", right_cols=["o_orderkey"],
+                    how=how, num_buckets=4)
+    t = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert t.num_rows == 0
+    assert t.schema.names == ["user_id", "ts", "o_orderkey"]

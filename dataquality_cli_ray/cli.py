@@ -50,6 +50,18 @@ def _ray_session(num_cpus: int | None):
     return ray
 
 
+def _positive_int(s: str) -> int:
+    """argparse type: an integer >= 1 (else usage error, exit 2)."""
+    try:
+        n = int(s)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {s!r}")
+    return n
+
+
 def _fmt(v, nd=6):
     if v is None:
         return "-"
@@ -159,8 +171,9 @@ def cmd_quality(args) -> int:
                         max_aspect=args.max_aspect,
                         min_contrast=args.min_contrast)
     # the flagship's plan over the pending files; its dup map covers ALL
-    # inputs (cross-shard correctness). The plan builds the seeded
-    # models itself, and run_resumable calls it only when a shard is
+    # inputs (cross-shard correctness). The plan takes the seeded
+    # models from build_models (trained on first use, once per
+    # process), and run_resumable calls it only when a shard is
     # pending, so a rerun over published shards trains no model.
     res = CK.run_resumable(
         files, args.output,
@@ -381,7 +394,7 @@ def main(argv=None) -> int:
     q = sub.add_parser("quality", help="run the quality-filter pipeline")
     q.add_argument("--input", required=True)
     q.add_argument("--output", required=True)
-    q.add_argument("--shard-size", type=int, default=16)
+    q.add_argument("--shard-size", type=_positive_int, default=16)
     q.add_argument("--num-cpus", type=int, default=None)
     q.add_argument("--align-threshold", type=float, default=None,
                    help="enable the image-caption alignment rule "

@@ -41,7 +41,7 @@ Scale notes (100 TB):
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -86,14 +86,28 @@ def build_models(seed: int = 42) -> tuple[dict, dict]:
     """Deterministic langid + perplexity models from the seeded corpus
     (the 'model artifacts' a worker would otherwise load from disk).
     Each trainer counts the whole corpus in one numpy pass; the models
-    are bit-identical to per-text training (pinned in tests). The build
-    is not cached: a CLI run is one process, and it pays the build
-    (~0.03 s at 1 CPU, down from ~0.13 s) only when a shard is
-    pending."""
+    are bit-identical to per-text training (pinned in tests).
+
+    Built once per process and seed: every call returns the same pair
+    (~4.3 MB held for the life of the process), so a process that runs
+    several plans trains once and :func:`_model_refs` puts the pair
+    once per Ray session. Every array in it is read-only; a changed
+    model is a new dict (the object-identity contract of
+    :func:`_model_refs`)."""
+    return _seeded_models(seed)
+
+
+@cache
+def _seeded_models(seed: int) -> tuple[dict, dict]:
+    # the memo behind build_models, keyed by the seed alone however the
+    # caller passes it (build_models() and build_models(seed=42) share)
     texts, labels = seed_corpus(seed=seed)
-    langid = train_langid_model(texts, labels)
-    ppl = train_char_lm(texts)
-    return langid, ppl
+    models = train_langid_model(texts, labels), train_char_lm(texts)
+    for m in models:
+        for v in m.values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+    return models
 
 
 def _dup_combine(batch: pa.Table, *, key_col: str, id_col: str) -> pa.Table:
@@ -527,18 +541,17 @@ def _label_step(ds: "rd.Dataset", dup_map: tuple, cfg: QualityConfig,
                 langid_model: dict | None, ppl_model: dict | None,
                 **units) -> "rd.Dataset":
     """``ds`` with :func:`_label_task_fn` as one whole-block map step.
-    The caller's models ship once per driver process per model object: a
-    later plan over the same objects reuses their refs, so each worker
-    keeps the fused stage it built for them. Models this call builds
-    (:func:`build_models`, when either is None) are new objects that no
-    later plan passes, so they are put without entering the map, which
-    would only pin them. ``dup_map`` ships once per plan."""
+    A model left None is :func:`build_models`' seeded one, which is the
+    same object on every call. Either way the models ship once per
+    driver process and Ray session per model object
+    (:func:`_model_refs`): a later plan over the same objects reuses
+    their refs, so each worker keeps the fused stage it built for them.
+    ``dup_map`` ships once per plan."""
     if langid_model is None or ppl_model is None:
         lm, pm = build_models()
-        langid_model, ppl_model = langid_model or lm, ppl_model or pm
-        langid_ref, ppl_ref = ray.put(langid_model), ray.put(ppl_model)
-    else:
-        langid_ref, ppl_ref = _model_refs(langid_model, ppl_model)
+        langid_model = lm if langid_model is None else langid_model
+        ppl_model = pm if ppl_model is None else ppl_model
+    langid_ref, ppl_ref = _model_refs(langid_model, ppl_model)
     return ds.map_batches(
         _label_task_fn,
         fn_kwargs={"cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,

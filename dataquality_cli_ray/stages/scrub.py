@@ -45,9 +45,12 @@ def scrub_sql_expr(col: str) -> str:
 
 class PiiScrubber:
     """Stateless task stage: adds ``caption_scrubbed`` + ``pii_hits``
-    (total replacements, for lineage counters). Arrow compiles each
-    pattern once per worker process: the compiled form lives in the RE2
-    cache keyed by pattern string."""
+    (total replacements, for lineage counters). Arrow compiles a
+    pattern on every call; it keeps no compiled form between calls (a
+    1-row ``count_substring_regex`` costs 15-27 µs and the 6-way match
+    65 µs however often they run). That is 13 compiles per batch
+    (the match, then a count and a replace per pattern), ~0.05 µs/row
+    at the task's batch sizes."""
 
     def __init__(self, text_col: str = "caption_trimmed",
                  out_col: str = "caption_scrubbed"):

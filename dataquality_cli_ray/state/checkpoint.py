@@ -33,6 +33,10 @@ import pyarrow.parquet as pq
 
 
 def shard_files(files: list[str], shard_size: int) -> list[list[str]]:
+    """``files`` in sorted order, cut into shards of ``shard_size``
+    (>= 1; anything less raises ``ValueError``)."""
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     files = sorted(files)
     return [files[i : i + shard_size] for i in range(0, len(files), shard_size)]
 

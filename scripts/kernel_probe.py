@@ -1,20 +1,25 @@
-"""Per-step process CPU of the flagship's fused task over one work unit.
+"""Per-step process CPU and page faults of the flagship's fused task
+over one work unit.
 
-Writes one 4,096-row work unit of the benchmark's image input (4 parquet
-files of 1,024 ``fixtures.images.gen_rows`` rows, the first half of the
-8-file seeded table) to a temporary directory, reads it with the task's
-own reader (``sources.readers.read_unit``), and runs the steps of
-``QualityFusedStage`` and the mark + finalize step in the task's order,
-timing each with ``time.process_time``: Arrow decodes parquet on its
-own threads, which a calling thread's CPU clock does not see. "caption
+Writes the benchmark's image input (8 parquet files of 1,024
+``fixtures.images.gen_rows`` rows: the 8,192-row unit a ``flagship`` op
+labels at 1 CPU) to a temporary directory, reads it as one unit with
+the task's own reader (``sources.readers.read_unit``), and runs the
+steps of ``QualityFusedStage`` and the mark + finalize step in the
+task's order, timing each with ``time.process_time``: Arrow decodes
+parquet on its own threads, which a calling thread's CPU clock does not
+see. Each step's minor page faults (``ru_minflt`` of the process) are
+counted beside its CPU: a step that faults pages in pays for it in CPU
+time, and a smaller unit faults more often than the task does. "caption
 buffer" is the batch's lowered, padded caption buffer
 (``CaptionGrams``); each block's rolling hash is swept on first use, so
 it counts under langid, and perplexity reuses it. The chain's
 output is checked against the fused stage's own, so the probe times the
 code the flagship runs.
 
-Prints one row per step: the median over ``--reps`` repetitions in
-µs/row, and the interquartile range.
+Prints one row per step: the median over ``--reps`` repetitions of
+its CPU in µs/row, the interquartile range, and the median minor faults
+per repetition.
 
     python scripts/kernel_probe.py [--seed 7] [--reps 41]
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -40,7 +46,7 @@ from dataquality_cli_ray.sources.readers import read_unit  # noqa: E402
 from dataquality_cli_ray.stages.rules import (  # noqa: E402
     QualityConfig, finalize_decision)
 
-FILES, FILE_ROWS, TABLE_ROWS = 4, 1024, 8192
+FILES, FILE_ROWS = 8, 1024
 STEPS = ("read", "rules", "decode parse", "caption buffer", "langid",
          "perplexity", "scrub", "mark + finalize")
 
@@ -50,19 +56,26 @@ def write_unit(d: str, seed: int) -> list[str]:
     for i in range(FILES):
         ids = np.arange(i * FILE_ROWS, (i + 1) * FILE_ROWS)
         f = os.path.join(d, f"part-{i:05d}.parquet")
-        pq.write_table(gen_rows(ids, TABLE_ROWS, seed), f, compression="none")
+        pq.write_table(gen_rows(ids, FILES * FILE_ROWS, seed), f,
+                       compression="none")
         files.append(f)
     return files
 
 
-def run_chain(unit, stage, lookup, cfg, cpu):
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def run_chain(unit, stage, lookup, cfg, cpu, faults):
     """The fused task's steps in order over ``unit`` (one batch of
     :func:`read_unit`), adding each one's process CPU seconds to
-    ``cpu``; returns the task's output table."""
+    ``cpu`` and its minor page faults to ``faults``; returns the task's
+    output table."""
     def step(name, fn, *args):
-        c0 = time.process_time()
+        f0, c0 = _minflt(), time.process_time()
         out = fn(*args)
         cpu[name] += time.process_time() - c0
+        faults[name] += _minflt() - f0
         return out
 
     t, = step("read", lambda: list(read_unit(unit)))
@@ -96,21 +109,27 @@ def main(argv=None) -> None:
         want = finalize_decision(Q._mark_dup(
             stage(batch), *lookup, cfg.dedup_key, cfg.id_col)
         ).select(Q._out_cols(cfg))
-        per_rep = []
+        per_rep, per_rep_faults = [], []
         for _ in range(args.reps):
-            cpu = dict.fromkeys(STEPS, 0.0)
-            got = run_chain(unit, stage, lookup, cfg, cpu)
+            cpu, faults = dict.fromkeys(STEPS, 0.0), dict.fromkeys(STEPS, 0)
+            got = run_chain(unit, stage, lookup, cfg, cpu, faults)
             per_rep.append(cpu)
+            per_rep_faults.append(faults)
         if not got.equals(want):
             raise SystemExit("the probe's chain differs from the fused stage")
     rows = batch.num_rows
-    print(f"{'step':<16}{'us/row':>9}{'IQR':>7}   "
+    print(f"{'step':<16}{'us/row':>9}{'IQR':>7}{'minflt':>9}   "
           f"({rows} rows, seed {args.seed}, {args.reps} reps, process CPU)")
+
+    def per(reps, name):
+        return np.array([sum(r.values()) if name == "total" else r[name]
+                         for r in reps])
+
     for name in STEPS + ("total",):
-        v = np.array([sum(r.values()) if name == "total" else r[name]
-                      for r in per_rep]) / rows * 1e6
+        v = per(per_rep, name) / rows * 1e6
         q1, med, q3 = np.percentile(v, [25, 50, 75])
-        print(f"{name:<16}{med:>9.2f}{q3 - q1:>7.2f}")
+        flt = np.median(per(per_rep_faults, name))
+        print(f"{name:<16}{med:>9.2f}{q3 - q1:>7.2f}{flt:>9.0f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,15 @@ and interquartile range of:
 - ``floor ms``: the drain of an empty plan of the same shape
   (``from_items`` of as many one-row blocks as the op ran tasks, then
   one ``map_batches`` that returns its batch), which is Ray's own fixed
-  cost of a plan of that many tasks.
+  cost of a plan of that many tasks, and ``floor cpu ms``: the CPU that
+  drain costs the session's processes together.
+
+Then the CPU ms per op of each session process: the driver and every
+process descended from it (Ray's core daemons, its workers and actors),
+read from ``/proc/<pid>/stat`` (user + system time) before and after
+each op. A process is named by its command line (a Ray worker by its
+title, e.g. ``ray::IDLE`` once its task is done). On a host with fewer
+free cores than busy processes this CPU is wall time too.
 
     python scripts/op_probe.py [--cpus 1] [--ops 30] [--files 8]
         [--rows 1024] [--seed 7]
@@ -33,6 +41,7 @@ import time
 import numpy as np
 import pyarrow.parquet as pq
 
+TICK_MS = 1e3 / os.sysconf("SC_CLK_TCK")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
@@ -67,31 +76,86 @@ def _identity(batch):
     return batch
 
 
-def floor_ms(tasks: int) -> float:
+def _stat(pid: str) -> tuple[int, int]:
+    """(parent pid, user + system clock ticks) of process ``pid``."""
+    with open(f"/proc/{pid}/stat") as f:
+        s = f.read()
+    rest = s[s.rindex(")") + 2:].split()     # fields from 3 (state) on
+    return int(rest[1]), int(rest[11]) + int(rest[12])
+
+
+def session_ticks() -> dict[int, int]:
+    """CPU clock ticks of this process and of every process descended
+    from it, by pid."""
+    procs = {}
+    for d in os.listdir("/proc"):
+        if d.isdigit():
+            try:
+                procs[int(d)] = _stat(d)
+            except (OSError, ValueError, IndexError):
+                pass                          # exited while listed
+    kids: dict[int, list[int]] = {}
+    for pid, (ppid, _) in procs.items():
+        kids.setdefault(ppid, []).append(pid)
+    out, todo = {}, [os.getpid()]
+    while todo:
+        pid = todo.pop()
+        if pid in procs:
+            out[pid] = procs[pid][1]
+            todo += kids.get(pid, [])
+    return out
+
+
+def cpu_ms(before: dict[int, int], after: dict[int, int]) -> dict[int, float]:
+    """Each session process's CPU ms between two :func:`session_ticks`
+    (a process started in between counts from zero)."""
+    return {pid: (t - before.get(pid, 0)) * TICK_MS
+            for pid, t in after.items()}
+
+
+def process_name(pid: int) -> str:
+    if pid == os.getpid():
+        return "driver"
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            argv = f.read().decode(errors="replace").split("\0")
+    except OSError:
+        return "(exited)"
+    if argv[0].startswith("ray::"):
+        return argv[0].split()[0]
+    script = next((a for a in argv[1:] if a.endswith(".py")), argv[0])
+    return os.path.basename(script.split()[0]) if script else "?"
+
+
+def floor_ms(tasks: int) -> tuple[float, float]:
+    """(wall ms, session CPU ms) of one empty plan's drain."""
     import ray.data as rd
 
-    t0 = time.perf_counter()
+    c0, t0 = session_ticks(), time.perf_counter()
     ds = rd.from_items([{"i": i} for i in range(tasks)],
                        override_num_blocks=tasks).map_batches(
         _identity, batch_format="pyarrow", batch_size=None)
     for _ in ds.iter_batches(batch_format="pyarrow", batch_size=None):
         pass
-    return (time.perf_counter() - t0) * 1e3
+    t1 = time.perf_counter()
+    return (t1 - t0) * 1e3, sum(cpu_ms(c0, session_ticks()).values())
 
 
 def one_op(path: str, cfg, lm, pm) -> dict:
     from dataquality_cli_ray.pipelines import quality as Q
 
-    t0 = time.perf_counter()
+    c0, t0 = session_ticks(), time.perf_counter()
     ds = Q.images_quality_pipeline(path, cfg, langid_model=lm, ppl_model=pm)
     t1 = time.perf_counter()
     rows = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow",
                                                    batch_size=None))
     t2 = time.perf_counter()
+    cpu = cpu_ms(c0, session_ticks())
     tasks, udf = executed(ds)
+    floor, floor_cpu = floor_ms(tasks)
     return {"plan ms": (t1 - t0) * 1e3, "drain ms": (t2 - t1) * 1e3,
-            "tasks": tasks, "udf ms": udf, "floor ms": floor_ms(tasks),
-            "rows": rows}
+            "tasks": tasks, "udf ms": udf, "floor ms": floor,
+            "floor cpu ms": floor_cpu, "rows": rows, "cpu": cpu}
 
 
 def main() -> int:
@@ -121,16 +185,28 @@ def main() -> int:
             cfg, (lm, pm) = QualityConfig(), build_models()
             one_op(path, cfg, lm, pm)                    # warm-up
             ops = [one_op(path, cfg, lm, pm) for _ in range(args.ops)]
+            per_pid: dict[int, float] = {}
+            for o in ops:
+                for pid, ms in o["cpu"].items():
+                    per_pid[pid] = per_pid.get(pid, 0.0) + ms / args.ops
+            names = {pid: process_name(pid) for pid in per_pid}
     finally:
         ray.shutdown()
     assert all(o["rows"] == args.files * args.rows for o in ops)
     print(f"{args.ops} ops, {args.files} x {args.rows} rows, "
           f"{args.cpus} CPU(s)")
-    print(f"{'':<10}{'median':>10}{'iqr':>10}")
-    for k in ("plan ms", "drain ms", "tasks", "udf ms", "floor ms"):
+    print(f"{'':<14}{'median':>10}{'iqr':>10}")
+    for k in ("plan ms", "drain ms", "tasks", "udf ms", "floor ms",
+              "floor cpu ms"):
         xs = [o[k] for o in ops]
         q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
-        print(f"{k:<10}{statistics.median(xs):>10.1f}{q[2] - q[0]:>10.1f}")
+        print(f"{k:<14}{statistics.median(xs):>10.1f}{q[2] - q[0]:>10.1f}")
+    print(f"\nCPU ms per op ({TICK_MS:g} ms clock ticks, mean over "
+          f"{args.ops} ops)")
+    for pid, ms in sorted(per_pid.items(), key=lambda kv: -kv[1]):
+        if ms >= 0.05:
+            print(f"{names[pid]:<32}{pid:>8}{ms:>10.1f}")
+    print(f"{'total':<40}{sum(per_pid.values()):>10.1f}")
     return 0
 
 

@@ -100,6 +100,23 @@ def test_shard_files_deterministic():
     assert shards[0] == ["f0", "f1", "f2"] and shards[2] == ["f6"]
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_shard_size_below_one_rejected(input_files, tmp_path, capsys, size):
+    """A shard size below 1 raises ``ValueError`` in ``shard_files``; the
+    quality CLI rejects it as a usage error (exit 2) before it starts
+    Ray or creates the output dir."""
+    from dataquality_cli_ray import cli
+
+    with pytest.raises(ValueError, match="shard_size"):
+        shard_files(input_files, size)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["quality", "--input", str(tmp_path), "--output", str(out),
+                  "--shard-size", str(size)])
+    assert e.value.code == 2 and not out.exists()
+    assert "--shard-size" in capsys.readouterr().err
+
+
 def test_discover_files(tmp_path):
     (tmp_path / "sub").mkdir()
     for name, size in [("a.csv", 10), ("b.CSV", 1000), ("c.txt", 10),

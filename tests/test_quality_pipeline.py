@@ -536,6 +536,38 @@ def test_cli_rerun_with_nothing_pending_trains_no_model(
     assert after.equals(before) and after_manifests == before_manifests
 
 
+def test_cli_runs_put_builtin_models_once(
+        ray_session, multi_file_images, pipeline_and_golden, tmp_path,
+        monkeypatch):
+    """Two cmd_quality runs in one Ray session ship the built-in seeded
+    models once: ``build_models`` returns the same pair, so the second
+    plan reuses the first one's refs. Both runs publish the same rows,
+    and those rows carry the golden oracle's labels."""
+    import ray
+
+    from dataquality_cli_ray.pipelines import quality as Q
+
+    lm, pm = Q.build_models()
+    monkeypatch.setattr(Q, "_MODEL_REFS", {})
+    puts = []
+    put = ray.put
+    monkeypatch.setattr(ray, "put", lambda v: puts.append(v) or put(v))
+    outs = []
+    for run in ("a", "b"):
+        _cmd_quality(multi_file_images, str(tmp_path / run), shard_size=2)
+        outs.append(_cli_output(str(tmp_path / run))[0])
+    assert [v for v in puts if v is lm or v is pm] == [lm, pm]
+    assert outs[0].equals(outs[1])
+    got = outs[0].to_pandas()
+    m = pipeline_and_golden
+    assert got["image_id"].tolist() == m["image_id"].tolist()
+    for col in ("drop_reason", "caption_scrubbed"):
+        assert got[col].fillna("").tolist() == \
+            m[f"{col}_g"].fillna("").tolist(), col
+    for col in ("keep", "lang_pred", "ppl", "pii_hits"):
+        assert got[col].tolist() == m[col].tolist(), col
+
+
 def test_default_fused_stage_computes_no_pixel_features(models, monkeypatch):
     """At the default config no rule reads brightness/contrast/ahash, so
     the fused stage runs only the decode's payload parse: with the

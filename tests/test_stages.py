@@ -450,6 +450,28 @@ def test_build_models_matches_per_text_training():
     _assert_models_equal(ppl, _char_lm_per_text(texts))
 
 
+def test_build_models_built_once_and_read_only():
+    """``build_models`` returns the same pair on every call for a seed,
+    its arrays refuse writes, and its pickle is the seeded models' own
+    (the read-only flag is not pickled)."""
+    import hashlib
+    import pickle
+
+    from dataquality_cli_ray.pipelines.quality import build_models
+
+    models = build_models()
+    assert build_models() is models and build_models(42) is models
+    assert all(a is b for a, b in zip(build_models(seed=42), models))
+    arrays = [v for m in models for v in m.values()
+              if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    digest = hashlib.sha256(pickle.dumps(models)).hexdigest()
+    assert digest.startswith("30d79b74a2b746c5")
+
+
 # ----------------------------------------------------------- text utils
 
 def test_token_counts_match_python():

@@ -13,13 +13,17 @@ library code never calls ray.init.
 
 ``quality`` reads the flagship's input files (``.parquet`` only, ``.``/
 ``_`` names skipped) and runs the flagship's own plan
-(``images_quality_pipeline(..., pending=...)``: the dup map over all
-input files, the read over the files of every unpublished shard) ONCE:
-each work unit's task reads its row groups, labels them and writes one
-part per input file under that file's ``shard=<i>.tmp/``, and this
-process publishes each shard (manifest + atomic rename) as soon as all
-its files have reported (``state.checkpoint.run_resumable``).
-``--shard-size`` sets the resume unit, not the execution.
+(``pipelines.quality.pending_labels``: the dup map over all input
+files, the read over the files of every unpublished shard) ONCE: each
+work unit's task reads its row groups, labels them and writes one part
+per input file under that file's ``shard=<i>.tmp/``, and this process
+publishes each shard (manifest + atomic rename) as soon as all its
+files have reported (``state.checkpoint.run_resumable``). Two or more
+work units run as one Ray Data execution; a single unit (any input at
+1 CPU) runs in this process, with no Ray Data execution, and a failure
+there is not retried: the run fails and a rerun resumes it.
+``--shard-size`` sets the resume unit, not the execution. Without
+``--num-cpus`` Ray gets the CPUs this process may run on.
 
 Report layout mirrors the reference renderer: summary →
 per-file/table section → detailed per-column stats
@@ -41,7 +45,7 @@ def _ray_session(num_cpus: int | None):
 
     if not ray.is_initialized():
         ray.init(address="local",
-                 num_cpus=num_cpus or os.cpu_count(),
+                 num_cpus=num_cpus or len(os.sched_getaffinity(0)),
                  include_dashboard=False, ignore_reinit_error=True,
                  logging_level="ERROR")
     from ray.data import DataContext
@@ -170,15 +174,15 @@ def cmd_quality(args) -> int:
                         min_image_px=args.min_image_px,
                         max_aspect=args.max_aspect,
                         min_contrast=args.min_contrast)
-    # the flagship's plan over the pending files; its dup map covers ALL
-    # inputs (cross-shard correctness). The plan takes the seeded
-    # models from build_models (trained on first use, once per
-    # process), and run_resumable calls it only when a shard is
-    # pending, so a rerun over published shards trains no model.
+    # the flagship's plan over the pending files, or their one work
+    # unit labeled in this process; its dup map covers ALL inputs
+    # (cross-shard correctness). The plan takes the seeded models from
+    # build_models (trained on first use, once per process), and
+    # run_resumable calls it only when a shard is pending, so a rerun
+    # over published shards trains no model.
     res = CK.run_resumable(
         files, args.output,
-        lambda pending: Q.images_quality_pipeline(files, cfg,
-                                                  pending=pending),
+        lambda pending: Q.pending_labels(files, cfg, pending),
         shard_size=args.shard_size, lineage_fn=CK.drop_reason_lineage)
     print(res)
     return 0

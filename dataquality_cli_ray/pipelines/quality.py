@@ -41,6 +41,7 @@ Scale notes (100 TB):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache, partial
 from itertools import chain
 
@@ -537,25 +538,29 @@ def _model_refs(*models) -> list:
     return refs
 
 
-def _label_step(ds: "rd.Dataset", dup_map: tuple, cfg: QualityConfig,
-                langid_model: dict | None, ppl_model: dict | None,
-                **units) -> "rd.Dataset":
-    """``ds`` with :func:`_label_task_fn` as one whole-block map step.
-    A model left None is :func:`build_models`' seeded one, which is the
-    same object on every call. Either way the models ship once per
-    driver process and Ray session per model object
-    (:func:`_model_refs`): a later plan over the same objects reuses
-    their refs, so each worker keeps the fused stage it built for them.
-    ``dup_map`` ships once per plan."""
+def _label_kwargs(dup_map: tuple, cfg: QualityConfig,
+                  langid_model: dict | None, ppl_model: dict | None,
+                  **units) -> dict:
+    """:func:`_label_task_fn`'s keyword arguments. A model left None is
+    :func:`build_models`' seeded one, which is the same object on every
+    call. Either way the models ship once per driver process and Ray
+    session per model object (:func:`_model_refs`): a later plan over
+    the same objects reuses their refs, so each worker keeps the fused
+    stage it built for them. ``dup_map`` ships once per plan."""
     if langid_model is None or ppl_model is None:
         lm, pm = build_models()
         langid_model = lm if langid_model is None else langid_model
         ppl_model = pm if ppl_model is None else ppl_model
     langid_ref, ppl_ref = _model_refs(langid_model, ppl_model)
+    return {"cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,
+            "dup_ref": ray.put(dup_map), **units}
+
+
+def _label_step(ds: "rd.Dataset", *args, **units) -> "rd.Dataset":
+    """``ds`` with :func:`_label_task_fn` as one whole-block map step
+    (arguments as :func:`_label_kwargs`)."""
     return ds.map_batches(
-        _label_task_fn,
-        fn_kwargs={"cfg": cfg, "langid_ref": langid_ref, "ppl_ref": ppl_ref,
-                   "dup_ref": ray.put(dup_map), **units},
+        _label_task_fn, fn_kwargs=_label_kwargs(*args, **units),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
     )
 
@@ -610,11 +615,44 @@ def images_quality_pipeline(
     those files and adds a ``path`` column naming each row's file, while
     the dup map still covers every file of ``input_path``: the quality
     CLI's resumable run (``state.checkpoint.run_resumable``) routes rows
-    to their shards by it."""
+    to their shards by it (:func:`pending_labels` is the CLI's entry)."""
+    return _staged_plan(input_path, cfg or QualityConfig(), dedup_mode,
+                        langid_model, ppl_model, pending)
+
+
+def pending_labels(files: list[str], cfg: QualityConfig,
+                   pending: list[str]) -> "rd.Dataset | Iterator[pa.Table]":
+    """The quality CLI's plan: :func:`images_quality_pipeline` over the
+    ``pending`` subset of the parquet ``files``, with the seeded models,
+    except that when ``pending`` plans to ONE work unit
+    (:func:`~..sources.readers.parquet_units` at the cluster's CPUs: any
+    input at 1 CPU, up to ``UNIT_MIN_ROWS`` rows at 4) this process runs
+    the unit's task itself, :func:`_label_task_fn` with the same refs,
+    and returns its generator of labeled tables. A Ray execution there
+    would run that one task anyway, after paying its fixed cost: three
+    more session processes (a task worker and two Ray Data actors; the
+    dqbench ``quality_cli`` peak RSS fell 705 → 498 MB without them)
+    and their CPU on every op.
+
+    Crossover (``scripts/op_probe.py --cli``: ``cmd_quality`` +
+    ``lineage_report``, medians of 20 ops in two alternated runs, ms,
+    Ray plan → this process): at 1 CPU 1,024 rows 75-80 → 27, 8,192
+    rows 183-188 → 122-130, 12,000 rows 198-211 → 171-196; at 4 CPUs
+    4,096 rows 129-132 → 86-95. Session CPU per op fell 70-120 ms. At 4
+    CPUs 8,192 rows are two units and keep the Ray plan (143-158 ms);
+    forced into one unit here they took 132-140 ms, so one unit is a
+    conservative bound."""
+    return _staged_plan(files, cfg, "staged", None, None, pending,
+                        in_process=True)
+
+
+def _staged_plan(input_path, cfg: QualityConfig, dedup_mode: str,
+                 langid_model, ppl_model, pending, in_process: bool = False):
+    # both entries' plan: footer probe, dup map, units, then the label
+    # step, or with ``in_process`` a one-unit plan's task generator
     if dedup_mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
-    cfg = cfg or QualityConfig()
     from ..sources.readers import parquet_units, read_table, table_rows
 
     # Two context settings scoped to this plan. Ray snapshots the
@@ -644,10 +682,14 @@ def images_quality_pipeline(
             return _label_step(ds, dup_map, cfg, langid_model, ppl_model)
         units = parquet_units(files if pending is None else pending,
                               cluster_cpus())
-        ds = rd.from_items(
-            [{"paths": [f for f, _ in u], "row_groups": [g for _, g in u]}
-             for u in units], override_num_blocks=len(units))
-        return _label_step(ds, dup_map, cfg, langid_model, ppl_model,
-                           units=True, with_path=pending is not None)
+        items = [{"paths": [f for f, _ in u], "row_groups": [g for _, g in u]}
+                 for u in units]
+        args = dup_map, cfg, langid_model, ppl_model
+        kw = {"units": True, "with_path": pending is not None}
+        if in_process and len(units) == 1:
+            return _label_task_fn(pa.Table.from_pylist(items),
+                                  **_label_kwargs(*args, **kw))
+        ds = rd.from_items(items, override_num_blocks=len(units))
+        return _label_step(ds, *args, **kw)
     finally:
         ctx.target_max_block_size, ctx.op_resource_reservation_enabled = prev

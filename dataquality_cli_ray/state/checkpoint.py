@@ -3,17 +3,23 @@ from per-partition checkpoints", "every partition writes lineage
 records").
 
 Model: the input file list is split into SHARDS (deterministic order —
-the unit of resume), but a run is ONE Ray Data execution over every
-pending input file. The plan's last step runs inside each read task,
-whose work unit may cover part of a file or several files: it writes
-the task's rows as one part file per input file under that file's
+the unit of resume), but a run is ONE pass over every pending input
+file: at most one Ray Data execution, and none when the pipeline labels
+the pending files in the calling process (the quality CLI's one-unit
+input). On a Ray plan the last step runs inside each read task, whose
+work unit may cover part of a file or several files: it writes the
+task's rows as one part file per input file under that file's
 ``out_root/shard=<i>.tmp/`` and returns one small ``(path, part, rows)``
-row per part. The caller streams those rows; once every file of shard
-*i* has reported its footer row count, the shard is published: unreported parts (a retried task's
-orphan) are deleted, ``manifest.json`` (input fragments, rows in/out,
-per-rule hit counters) is written, then the dir is renamed into place.
-A rerun skips every shard whose manifest lists the same input
-fragments — "resume = anti-filter of done fragments" (SURVEY.md §4).
+row per part; in-process, the caller writes each labeled table the same
+way. The caller streams those rows; once every file of shard *i* has
+reported its footer row count, the shard is published: unreported parts
+(a retried task's orphan) are deleted, ``manifest.json`` (input
+fragments, rows in/out, per-rule hit counters) is written, then the dir
+is renamed into place. A failed task of a Ray plan is retried by Ray; a
+failed in-process pass is not retried: the run raises, and a rerun
+redoes every unpublished shard. A rerun skips every shard whose manifest
+lists the same input fragments — "resume = anti-filter of done
+fragments" (SURVEY.md §4).
 
 The reference has NO checkpointing (full rerun, SURVEY §4); this is the
 explicit-design extension the north rule requires.
@@ -116,25 +122,32 @@ def run_resumable(
     shard_size: int = 16,
     lineage_fn=None,
 ) -> dict:
-    """Run ``pipeline_fn(pending_files) -> Dataset`` ONCE over the files
-    of every shard not yet published, writing each shard atomically
-    with a manifest; skips published shards whose manifest lists the
-    same input fragments.
+    """Run ``pipeline_fn(pending_files)`` ONCE over the files of every
+    shard not yet published, writing each shard atomically with a
+    manifest; skips published shards whose manifest lists the same input
+    fragments.
 
-    The Dataset's rows must carry a ``path`` column naming their input
-    parquet file (``quality.images_quality_pipeline(..., pending=...)``,
-    or a read with ``include_paths=True``); it routes each row to its
-    file's shard and is not written. A task may report several parts of
-    one file (a file split into several work units or blocks). A shard publishes as
+    ``pipeline_fn`` returns a Dataset, whose shard writes run in its
+    tasks (one Ray Data execution), or an iterable of tables, written
+    in this process as it yields them (``quality.pending_labels`` for a
+    one-unit input: no Ray Data execution, and a failure is not retried
+    but raised, for a rerun to resume). Either way the rows must carry a
+    ``path`` column naming their input parquet file
+    (``quality.images_quality_pipeline(..., pending=...)``, or a read
+    with ``include_paths=True``); it routes each row to its file's shard
+    and is not written. One file may report several parts (a file split
+    into several work units, blocks or tables). A shard publishes as
     soon as its files have reported as many rows as their footers hold
     (a pipeline that labels every row, like the quality pipeline) —
     more raises ``ValueError`` — and any shard still open when the
-    execution ends publishes then.
+    pass ends publishes then.
 
     Returns {"shards_total", "shards_skipped", "shards_run", "manifests"}.
     ``lineage_fn(shard_dir) -> dict`` may add counters to each manifest
     (e.g. :func:`drop_reason_lineage`).
     """
+    import ray.data as rd
+
     from ..sources.readers import parquet_file_rows
 
     os.makedirs(out_root, exist_ok=True)
@@ -183,9 +196,13 @@ def run_resumable(
 
         tmp_dirs = {f: os.path.join(out_root, f"shard={shard_of[f]}.tmp")
                     for f in todo}
-        written = _with_write_step(pipeline_fn(todo), tmp_dirs)
-        for batch in written.iter_batches(batch_format="pyarrow",
-                                          batch_size=None):
+        labeled = pipeline_fn(todo)
+        if isinstance(labeled, rd.Dataset):
+            reports = _with_write_step(labeled, tmp_dirs).iter_batches(
+                batch_format="pyarrow", batch_size=None)
+        else:                 # labeled tables, written in this process
+            reports = (_write_parts(t, tmp_dirs=tmp_dirs) for t in labeled)
+        for batch in reports:
             for path, part, n in zip(*(batch[c].to_pylist()
                                        for c in ("path", "part", "rows"))):
                 idx = shard_of[path]
@@ -264,7 +281,8 @@ def lineage_report(out_root: str) -> dict:
 def drop_reason_lineage(out_dir: str) -> dict:
     """Default lineage_fn: per-rule counters from the shard's own output
     (column-pruned read of drop_reason only, one ``ParquetFile`` per
-    part: ``pq.read_table`` would run dataset discovery on each)."""
+    part: ``pq.read_table`` would run dataset discovery on each), by
+    rule name, so the manifest does not depend on the parts' order."""
     counts: dict[str, int] = {}
     for root, _, files in os.walk(out_dir):
         for f in files:
@@ -276,4 +294,4 @@ def drop_reason_lineage(out_dir: str) -> dict:
             for s in vc:
                 key = s["values"].as_py() or "KEEP"
                 counts[key] = counts.get(key, 0) + s["counts"].as_py()
-    return counts
+    return dict(sorted(counts.items()))

@@ -24,19 +24,30 @@ each op. A process is named by its command line (a Ray worker by its
 title, e.g. ``ray::IDLE`` once its task is done). On a host with fewer
 free cores than busy processes this CPU is wall time too.
 
-    python scripts/op_probe.py [--cpus 1] [--ops 30] [--files 8]
+With ``--cli`` an op is what dqbench's ``quality_cli`` times instead:
+``cli.cmd_quality`` at ``--shard-size 2`` into a fresh output directory,
+then ``checkpoint.lineage_report`` of it. It prints the op's median and
+interquartile ``op ms``, the work units the input plans to (one unit
+runs in the calling process, more run as a Ray plan) and the same CPU
+table.
+
+    python scripts/op_probe.py [--cli] [--cpus 1] [--ops 30] [--files 8]
         [--rows 1024] [--seed 7]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import re
+import shutil
 import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -158,8 +169,28 @@ def one_op(path: str, cfg, lm, pm) -> dict:
             "floor cpu ms": floor_cpu, "rows": rows, "cpu": cpu}
 
 
+def cli_op(path: str, out: str, cpus: int) -> dict:
+    from dataquality_cli_ray import cli
+    from dataquality_cli_ray.state.checkpoint import lineage_report
+
+    ns = argparse.Namespace(
+        input=path, output=out, shard_size=2, num_cpus=cpus,
+        align_threshold=None, min_image_px=None, max_aspect=None,
+        min_contrast=None)
+    c0, t0 = session_ticks(), time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_quality(ns) == 0
+    rows = lineage_report(out)["rows_out"]
+    t1 = time.perf_counter()
+    cpu = cpu_ms(c0, session_ticks())
+    shutil.rmtree(out)
+    return {"op ms": (t1 - t0) * 1e3, "rows": rows, "cpu": cpu}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--cli", action="store_true",
+                    help="time a quality CLI op, not a flagship op")
     ap.add_argument("--cpus", type=int, default=1)
     ap.add_argument("--ops", type=int, default=30)
     ap.add_argument("--files", type=int, default=8)
@@ -171,6 +202,8 @@ def main() -> int:
     import ray.data as rd
 
     from dataquality_cli_ray.pipelines.quality import build_models
+    from dataquality_cli_ray.sources.readers import (parquet_files,
+                                                     parquet_units)
     from dataquality_cli_ray.stages.rules import QualityConfig
 
     # workers import the program from this checkout whatever the cwd
@@ -182,9 +215,18 @@ def main() -> int:
     try:
         with tempfile.TemporaryDirectory() as d:
             path = write_input(d, args.files, args.rows, args.seed)
-            cfg, (lm, pm) = QualityConfig(), build_models()
-            one_op(path, cfg, lm, pm)                    # warm-up
-            ops = [one_op(path, cfg, lm, pm) for _ in range(args.ops)]
+            if args.cli:
+                keys = ("op ms",)
+                files = parquet_files(path)
+                units = len(parquet_units(files, args.cpus))
+                out = os.path.join(d, "out")
+                op = partial(cli_op, path, out, args.cpus)
+            else:
+                keys = ("plan ms", "drain ms", "tasks", "udf ms",
+                        "floor ms", "floor cpu ms")
+                op = partial(one_op, path, QualityConfig(), *build_models())
+            op()                                         # warm-up
+            ops = [op() for _ in range(args.ops)]
             per_pid: dict[int, float] = {}
             for o in ops:
                 for pid, ms in o["cpu"].items():
@@ -193,11 +235,11 @@ def main() -> int:
     finally:
         ray.shutdown()
     assert all(o["rows"] == args.files * args.rows for o in ops)
-    print(f"{args.ops} ops, {args.files} x {args.rows} rows, "
-          f"{args.cpus} CPU(s)")
+    print(f"{args.ops} {'quality CLI' if args.cli else 'flagship'} ops, "
+          f"{args.files} x {args.rows} rows, {args.cpus} CPU(s)"
+          + (f", {units} work unit(s)" if args.cli else ""))
     print(f"{'':<14}{'median':>10}{'iqr':>10}")
-    for k in ("plan ms", "drain ms", "tasks", "udf ms", "floor ms",
-              "floor cpu ms"):
+    for k in keys:
         xs = [o[k] for o in ops]
         q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
         print(f"{k:<14}{statistics.median(xs):>10.1f}{q[2] - q[0]:>10.1f}")

@@ -117,6 +117,23 @@ def test_shard_size_below_one_rejected(input_files, tmp_path, capsys, size):
     assert "--shard-size" in capsys.readouterr().err
 
 
+def test_ray_session_sized_by_cpu_affinity(monkeypatch):
+    """Without ``--num-cpus`` the CLI's Ray session gets the CPUs this
+    process may run on, not every CPU of the machine."""
+    import ray
+
+    from dataquality_cli_ray import cli
+
+    calls = []
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init", lambda **kw: calls.append(kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cli._ray_session(None)
+    cli._ray_session(2)
+    assert [c["num_cpus"] for c in calls] == [3, 2]
+
+
 def test_discover_files(tmp_path):
     (tmp_path / "sub").mkdir()
     for name, size in [("a.csv", 10), ("b.CSV", 1000), ("c.txt", 10),
@@ -345,17 +362,19 @@ def test_resume_after_worker_killed_after_part_write(ray_session, input_files,
 
 
 def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
-                                                      images_path, models,
+                                                      images_path,
                                                       tmp_path, monkeypatch):
-    """The quality plan over six 100-row image files: one work unit
-    covers all six (below UNIT_MIN_ROWS), and its task labels them as
-    one batch. The worker dies after the first file's part is written:
-    Ray retries the whole unit, the retry writes fresh parts for every
-    file, and publishing deletes the part no task reported. The
-    published output equals a clean run, with no orphan part."""
+    """The CLI's quality plan over six 100-row image files, planned as
+    two three-file units (UNIT_MIN_ROWS lowered to 300), so it is a Ray
+    plan: each unit's task labels its files as one batch. The worker of
+    the first unit dies after its first file's part is written: Ray
+    retries the whole unit, the retry writes fresh parts for every file,
+    and publishing deletes the part no task reported. The published
+    output equals a clean run, with no orphan part."""
     import pyarrow.compute as pc
 
-    from dataquality_cli_ray.pipelines.quality import images_quality_pipeline
+    from dataquality_cli_ray.pipelines.quality import pending_labels
+    from dataquality_cli_ray.sources import readers
     from dataquality_cli_ray.stages.rules import QualityConfig
     from dataquality_cli_ray.state import checkpoint as CK
 
@@ -364,14 +383,12 @@ def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
     for i in range(6):
         files.append(str(tmp_path / f"in_{i}.parquet"))
         pq.write_table(t.slice(i * 100, 100), files[-1])
+    monkeypatch.setattr(readers, "UNIT_MIN_ROWS", 300)
 
     def run(out_root):
         return run_resumable(
             files, out_root,
-            lambda p: images_quality_pipeline(files, QualityConfig(),
-                                              langid_model=models[0],
-                                              ppl_model=models[1],
-                                              pending=p),
+            lambda p: pending_labels(files, QualityConfig(), p),
             shard_size=2, lineage_fn=drop_reason_lineage)
 
     run(str(tmp_path / "clean"))
@@ -381,7 +398,7 @@ def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
 
     def write_first_file_then_die(batch, *, tmp_dirs):
         paths = pc.unique(batch["path"]).to_pylist()
-        if len(paths) > 1 and not os.path.exists(marker):
+        if paths == files[:3] and not os.path.exists(marker):
             real(batch.filter(pc.equal(batch["path"], paths[0])),
                  tmp_dirs=tmp_dirs)
             with open(marker, "w") as f:
@@ -393,7 +410,7 @@ def test_resume_after_worker_killed_in_multi_file_unit(ray_session,
     out_root = str(tmp_path / "out")
     assert run(out_root)["shards_run"] == 3
     with open(marker) as f:
-        assert json.load(f) == files
+        assert json.load(f) == files[:3]
     got, manifests = _published(out_root, "image_id")
     assert got.equals(clean[0]) and manifests == clean[1]
 

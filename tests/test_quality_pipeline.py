@@ -441,21 +441,48 @@ def _cmd_quality(input_dir: str, out_dir: str, shard_size: int) -> None:
         max_aspect=None, min_contrast=None)) == 0
 
 
+def _two_units(monkeypatch) -> None:
+    """Plan ``multi_file_images`` (4 x 150 rows) at 4 CPUs as two
+    two-file units, so the CLI runs the Ray plan, not one unit in this
+    process."""
+    from dataquality_cli_ray.sources import readers
+
+    monkeypatch.setattr(readers, "UNIT_MIN_ROWS", 300)
+
+
+@pytest.fixture()
+def write_steps(monkeypatch):
+    """The Datasets the CLI's runs append their shard write to (one per
+    Ray plan; none for a unit labeled in this process)."""
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    steps, real = [], CK._with_write_step
+
+    def spy(ds, tmp_dirs):
+        steps.append(real(ds, tmp_dirs))
+        return steps[-1]
+
+    monkeypatch.setattr(CK, "_with_write_step", spy)
+    return steps
+
+
 def test_cli_shard_plan_is_one_fused_operator(ray_session,
                                               multi_file_images,
-                                              tmp_path, monkeypatch, capsys):
-    """A cmd_quality run over 4 files in 2 shards builds ONE plan over
-    all 4 files, and it executes as one fused operator that ends in the
-    in-task shard write, with the flagship's scoped context (reservation
-    off); ``lineage --per-shard`` prints rows in/out."""
+                                              tmp_path, monkeypatch, capsys,
+                                              write_steps):
+    """A cmd_quality run over 4 files in 2 shards, planned as two
+    two-file units, builds ONE plan over all 4 files, and it executes as
+    one fused operator that ends in the in-task shard write, with the
+    flagship's scoped context (reservation off); ``lineage --per-shard``
+    prints rows in/out."""
     from argparse import Namespace
 
     from dataquality_cli_ray import cli
     from dataquality_cli_ray.state import checkpoint as CK
 
-    plans, written = [], []
+    _two_units(monkeypatch)
+    plans, written = [], write_steps
     real_run = CK.run_resumable
-    real_write = getattr(CK, "_with_write_step", None)
 
     def spy(files, out_dir, pipeline_fn, **kw):
         def fn(pending):
@@ -463,12 +490,7 @@ def test_cli_shard_plan_is_one_fused_operator(ray_session,
             return pipeline_fn(pending)
         return real_run(files, out_dir, fn, **kw)
 
-    def write_spy(ds, tmp_dirs):
-        written.append(real_write(ds, tmp_dirs))
-        return written[-1]
-
     monkeypatch.setattr(CK, "run_resumable", spy)
-    monkeypatch.setattr(CK, "_with_write_step", write_spy, raising=False)
     out = tmp_path / "out"
     _cmd_quality(multi_file_images, str(out), shard_size=2)
     files = sorted(str(p) for p in pathlib.Path(multi_file_images).iterdir())
@@ -558,14 +580,149 @@ def test_cli_runs_put_builtin_models_once(
         outs.append(_cli_output(str(tmp_path / run))[0])
     assert [v for v in puts if v is lm or v is pm] == [lm, pm]
     assert outs[0].equals(outs[1])
-    got = outs[0].to_pandas()
-    m = pipeline_and_golden
+    _assert_golden(outs[0], pipeline_and_golden)
+
+
+def _assert_golden(got: pa.Table, m: pd.DataFrame) -> None:
+    """``got`` (rows sorted by image_id) carries the golden oracle's
+    labels (``pipeline_and_golden``)."""
+    got = got.to_pandas()
     assert got["image_id"].tolist() == m["image_id"].tolist()
     for col in ("drop_reason", "caption_scrubbed"):
         assert got[col].fillna("").tolist() == \
             m[f"{col}_g"].fillna("").tolist(), col
     for col in ("keep", "lang_pred", "ppl", "pii_hits"):
         assert got[col].tolist() == m[col].tolist(), col
+
+
+def _lineage_json(out_dir: str, capsys) -> str:
+    from argparse import Namespace
+
+    from dataquality_cli_ray import cli
+
+    capsys.readouterr()
+    assert cli.cmd_lineage(Namespace(run_dir=out_dir, json=True,
+                                     per_shard=False)) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_one_unit_runs_no_ray_plan(ray_session, multi_file_images,
+                                       tmp_path, monkeypatch):
+    """600 rows at 4 CPUs plan to one work unit: cmd_quality labels it
+    in this process, appends no shard write to a Ray plan and builds no
+    Dataset, and publishes every row."""
+    import ray.data as rd
+
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    def no_plan(*a, **kw):
+        raise AssertionError("a Ray Data plan was built")
+
+    monkeypatch.setattr(CK, "_with_write_step", no_plan)
+    monkeypatch.setattr(rd, "from_items", no_plan)
+    out = str(tmp_path / "out")
+    _cmd_quality(multi_file_images, out, shard_size=2)
+    assert _cli_output(out)[0].num_rows == 600
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+def test_cli_in_process_equals_ray_plan(ray_session, multi_file_images,
+                                        pipeline_and_golden, tmp_path,
+                                        monkeypatch, capsys, write_steps):
+    """One CLI input run two ways, as one unit labeled in this process
+    and as a Ray plan of two units, publishes the same rows and
+    manifests and the same ``lineage --json``; the rows carry the golden
+    oracle's labels."""
+    here, plan = str(tmp_path / "here"), str(tmp_path / "plan")
+    _cmd_quality(multi_file_images, here, shard_size=3)
+    assert write_steps == []
+    with monkeypatch.context() as m:
+        _two_units(m)
+        _cmd_quality(multi_file_images, plan, shard_size=3)
+    assert len(write_steps) == 1
+    got, manifests = _cli_output(here)
+    ref, ref_manifests = _cli_output(plan)
+    assert got.equals(ref) and manifests == ref_manifests
+    assert _lineage_json(here, capsys) == _lineage_json(plan, capsys)
+    _assert_golden(got, pipeline_and_golden)
+
+
+@pytest.mark.parametrize("ray_plan", [False, True])
+def test_cli_zero_row_file_publishes_empty_shard(ray_session, images_path,
+                                                 multi_file_images, tmp_path,
+                                                 monkeypatch, write_steps,
+                                                 ray_plan):
+    """A zero-row input file publishes its own shard with rows_in =
+    rows_out = 0, on either path: beside the 600-row input (one unit
+    here, or two units in a Ray plan), and alone, which is always one
+    unit (through the CLI, in this process; through
+    ``images_quality_pipeline``, a Ray plan)."""
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    src = tmp_path / "in"
+    shutil.copytree(multi_file_images, src)
+    pq.write_table(pq.read_table(images_path).slice(0, 0),
+                   str(src / "part-00004.parquet"))
+    if ray_plan:
+        _two_units(monkeypatch)
+    _cmd_quality(str(src), str(tmp_path / "out"), shard_size=1)
+    assert len(write_steps) == int(ray_plan)
+    got, manifests = _cli_output(str(tmp_path / "out"))
+    assert got.num_rows == 600 and len(manifests) == 5
+    assert (manifests[4]["rows_in"], manifests[4]["rows_out"]) == (0, 0)
+
+    empty = str(tmp_path / "empty")
+    os.makedirs(empty)
+    shutil.move(str(src / "part-00004.parquet"), empty)
+    files = [os.path.join(empty, "part-00004.parquet")]
+    out = str(tmp_path / "out_empty")
+    if ray_plan:
+        CK.run_resumable(
+            files, out,
+            lambda p: images_quality_pipeline(files, QualityConfig(),
+                                              pending=p),
+            shard_size=1, lineage_fn=CK.drop_reason_lineage)
+    else:
+        _cmd_quality(empty, out, shard_size=1)
+    assert len(write_steps) == 2 * int(ray_plan)
+    with open(os.path.join(out, "shard=0", "manifest.json")) as f:
+        m = json.load(f)
+    assert (m["rows_in"], m["rows_out"], m["lineage"]) == (0, 0, {})
+    assert os.listdir(os.path.join(out, "shard=0")) == ["manifest.json"]
+
+
+def test_cli_in_process_write_failure_resumes(ray_session, multi_file_images,
+                                              tmp_path, monkeypatch,
+                                              write_steps):
+    """A write that fails after the first part of a unit labeled in this
+    process fails the run (Ray retries no task here) and leaves that
+    part in an unpublished ``shard=<i>.tmp``; a rerun publishes the same
+    output as a clean run, with no orphan part."""
+    import pyarrow.compute as pc
+
+    from dataquality_cli_ray.state import checkpoint as CK
+
+    real = CK._write_parts
+
+    def write_first_file_then_fail(batch, *, tmp_dirs):
+        first = pc.unique(batch["path"])[0]
+        real(batch.filter(pc.equal(batch["path"], first)), tmp_dirs=tmp_dirs)
+        raise OSError("disk full")
+
+    out = str(tmp_path / "out")
+    with monkeypatch.context() as m:
+        m.setattr(CK, "_write_parts", write_first_file_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            _cmd_quality(multi_file_images, out, shard_size=2)
+    assert sorted(os.listdir(out)) == ["shard=0.tmp", "shard=1.tmp"]
+    assert len(os.listdir(os.path.join(out, "shard=0.tmp"))) == 1
+    _cmd_quality(multi_file_images, out, shard_size=2)
+    _cmd_quality(multi_file_images, str(tmp_path / "clean"), shard_size=2)
+    assert write_steps == []
+    got, manifests = _cli_output(out)
+    ref, ref_manifests = _cli_output(str(tmp_path / "clean"))
+    assert got.equals(ref) and manifests == ref_manifests
+    assert sorted(os.listdir(out)) == ["shard=0", "shard=1"]
 
 
 def test_default_fused_stage_computes_no_pixel_features(models, monkeypatch):

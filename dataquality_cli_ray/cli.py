@@ -43,9 +43,10 @@ import time
 def _ray_session(num_cpus: int | None):
     import ray
 
+    from .pipelines.exchange import cluster_cpus
+
     if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=num_cpus or len(os.sched_getaffinity(0)),
+        ray.init(address="local", num_cpus=num_cpus or cluster_cpus(),
                  include_dashboard=False, ignore_reinit_error=True,
                  logging_level="ERROR")
     from ray.data import DataContext

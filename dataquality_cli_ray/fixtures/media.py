@@ -70,7 +70,7 @@ def gen_audio_rows(ids: np.ndarray, seed: int = SEED,
     })
 
 
-def _cached(path: str, marker_tbl_fn) -> str:
+def _write_once(path: str, marker_tbl_fn) -> str:
     marker = path + ".done"
     if os.path.exists(marker):
         return path
@@ -83,13 +83,13 @@ def _cached(path: str, marker_tbl_fn) -> str:
 
 def generate_videos_parquet(n_rows: int, out_dir: str = "/tmp/dqray_fixtures",
                             seed: int = SEED) -> str:
-    return _cached(
+    return _write_once(
         os.path.join(out_dir, f"videos_n{n_rows}_s{seed}.parquet"),
         lambda: gen_video_rows(np.arange(n_rows), seed))
 
 
 def generate_audio_parquet(n_rows: int, out_dir: str = "/tmp/dqray_fixtures",
                            seed: int = SEED) -> str:
-    return _cached(
+    return _write_once(
         os.path.join(out_dir, f"audio_n{n_rows}_s{seed}.parquet"),
         lambda: gen_audio_rows(np.arange(n_rows), seed))

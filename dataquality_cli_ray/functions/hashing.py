@@ -404,9 +404,8 @@ def rolling_fingerprints(text: str, k: int = 8, window: int = 16) -> np.ndarray:
     """Winnowing document fingerprints: min rolling-hash per window of
     k-char shingle hashes (robust local fingerprints; public algorithm
     from Schleimer et al., SIGMOD 2003)."""
-    h = char_shingle_hashes(text, k)
     # char_shingle_hashes returns the *sorted distinct* set; winnowing needs
-    # positional order, so recompute positionally here.
+    # positional order, so hash the shingles positionally here.
     b = text.lower().encode("utf-8", "ignore")
     if len(b) < k:
         return np.array([stable_hash64(text)], dtype=np.uint64)

@@ -32,19 +32,7 @@ import ray
 
 from ..functions import text as T
 from ..functions.rounding import round_half_up
-
-_WORKER_CACHE: dict = {}
-
-
-def _cached_ref(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = ray.get(ref)
-        if len(_WORKER_CACHE) > 32:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = v
-    return v
+from .exchange import worker_get
 
 
 FEATURE_NAMES = ["log_tokens", "punct_frac", "stop_frac",
@@ -146,7 +134,7 @@ def train_quality_lr(
         wref = ray.put({"w": w, "mu": mu, "sd": sd})
 
         def grad_partial(batch: pa.Table) -> pa.Table:
-            m = _cached_ref(wref)
+            m = worker_get(wref)
             X = (_xmat(batch) - m["mu"]) / m["sd"]
             Xb = np.column_stack([X, np.ones(len(X))])
             y = batch["y"].to_numpy(zero_copy_only=False)
@@ -178,7 +166,7 @@ def score_quality_lr(
     ref = ray.put(model)
 
     def score(batch: pa.Table) -> pa.Table:
-        m = _cached_ref(ref)
+        m = worker_get(ref)
         X = (doc_features(batch[text_col]) - m["mu"]) / m["sd"]
         Xb = np.column_stack([X, np.ones(len(X))])
         p = round_half_up(_sigmoid(Xb @ m["w"]), 6)

@@ -39,26 +39,9 @@ from ..functions.wordgrams import (
     hash_spans, lower_filled, spans_to_strings, word_bounds,
     word_ngram_hashes_batch, word_ngram_spans_batch)
 from .exchange import (
-    block_refs, column_type, exchange, partitions, split_refs)
+    block_refs, column_type, exchange, partitions, split_refs, worker_get)
 
 logger = logging.getLogger(__name__)
-
-# per-worker-process broadcast cache (Ray reuses worker processes, so a
-# module-level dict gives load-once-per-worker semantics without actor
-# pools — CLAUDE.md round-2 lessons)
-_WORKER_CACHE: dict = {}
-
-
-def _cached_ref(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = ray.get(ref)
-        if len(_WORKER_CACHE) > 32:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = v
-    return v
-
 
 # ---------------------------------------------------------------- #
 # decontamination                                                   #
@@ -90,7 +73,7 @@ def decontaminate(
     ref = ray.put(np.ascontiguousarray(bench_hashes, dtype=np.uint64))
 
     def mark(batch: pa.Table) -> pa.Table:
-        bench = _cached_ref(ref)
+        bench = worker_get(ref)
         h, offs = word_ngram_hashes_batch(batch[text_col], n)
         nd = len(batch)
         cont = np.zeros(nd, dtype=bool)
@@ -175,7 +158,7 @@ def cap_per_key(
     parts = ds.select_columns([key_col, id_col]).map_batches(
         lambda t: _cap_partial(
             t, key_col, id_col, k,
-            _cached_ref(caps_ref) if caps_ref is not None else None),
+            worker_get(caps_ref) if caps_ref is not None else None),
         batch_format="pyarrow", batch_size=65536,
     )
     refs = block_refs(parts)
@@ -211,7 +194,7 @@ def cap_per_key_dataset(
     parts = ds.select_columns([key_col, id_col]).map_batches(
         lambda t: _cap_partial(
             t, key_col, id_col, k,
-            _cached_ref(caps_ref) if caps_ref is not None else None),
+            worker_get(caps_ref) if caps_ref is not None else None),
         batch_format="pyarrow", batch_size=65536,
     )
     refs = block_refs(parts)
@@ -691,7 +674,7 @@ def temperature_resample(
     ref = ray.put(thr_tbl)
 
     def filt(batch: pa.Table) -> pa.Table:
-        tt = _cached_ref(ref)
+        tt = worker_get(ref)
         pos = pc.index_in(batch[key_col].combine_chunks(),
                           value_set=tt[key_col].combine_chunks())
         row_thr = tt["thr"].to_numpy(zero_copy_only=False)[
@@ -913,7 +896,7 @@ def oov_rate(
     ref = ray.put(vh)
 
     def frac(batch: pa.Table) -> pa.Table:
-        v = _cached_ref(ref)
+        v = worker_get(ref)
         h, offs = word_ngram_hashes_batch(batch[text_col], 1)
         nd = len(batch)
         n_words = np.diff(offs)
@@ -1397,7 +1380,7 @@ def dsir_select(
     model_ref = ray.put((vocab, term))
 
     def score(t: pa.Table) -> pa.Table:
-        voc, tm = _cached_ref(model_ref)
+        voc, tm = worker_get(model_ref)
         col = t[text_col].combine_chunks() if isinstance(
             t[text_col], pa.ChunkedArray) else t[text_col]
         ls = pc.split_pattern(pc.fill_null(col, ""), pattern=" ")

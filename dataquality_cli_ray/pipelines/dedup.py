@@ -34,28 +34,6 @@ import pyarrow.parquet as pq
 logger = logging.getLogger(__name__)
 
 
-# per-WORKER-PROCESS cache for stateless-task stages: Ray reuses worker
-# processes across tasks, so broadcast objects / seeded hash families
-# load once per worker — the actor-pool `__init__` semantics without
-# paying fixed-pool spin-up on every (often tiny) dedup job.
-_WORKER_CACHE: dict = {}
-
-
-def _cached(key, factory):
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = factory()
-        if len(_WORKER_CACHE) > 32:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = v
-    return v
-
-
-def _cached_ref(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    return _cached(("ref", key), lambda: ray.get(ref))
-
-
 def _cap_bucket(g: pd.DataFrame, max_bucket: int, what: str) -> pd.DataFrame:
     """Deterministically truncate an oversized LSH bucket, LOGGING the
     drop (no silent caps): the dropped rows can't form pairs this round,
@@ -82,7 +60,8 @@ from ..functions.hashing import (
     stable_hash64_array,
 )
 from .exchange import (
-    block_refs, column_type, exchange, partitions, split, split_refs)
+    block_refs, column_type, exchange, partitions, split, split_refs,
+    worker_cached, worker_get)
 
 # ---------------------------------------------------------------- exact
 
@@ -479,7 +458,7 @@ class MinHashStage:
     """Task stage: text → 128-perm MinHash signature, exploded to
     one row per LSH band: (band_key:uint64->int64, doc_id, sig:binary).
     The MinHasher's permutation coefficients are built once per worker
-    process (the stage is held in ``_WORKER_CACHE``).
+    process (``exchange.worker_cached``).
 
     Fully batched: shingling is one rolling-hash pass over the
     concatenated batch (char_shingle_hashes_batch), signatures are one
@@ -564,7 +543,7 @@ def minhash_lsh_pairs(
     deduplicated across bands. Shuffles only (band_key, id, 1KB sig)
     through the bucket-pair exchange (see block comment above)."""
     def explode(batch: pa.Table) -> pa.Table:
-        stage = _cached(("minhash", text_col, id_col, num_perm, bands,
+        stage = worker_cached(("minhash", text_col, id_col, num_perm, bands,
                          shingle_k),
                         lambda: MinHashStage(text_col, id_col, num_perm,
                                              bands, shingle_k))
@@ -632,7 +611,7 @@ def verify_pairs_exact_jaccard(
     ref = ray.put(texts)
 
     def verify(batch: pa.Table) -> pa.Table:
-        tmap = _cached_ref(ref)
+        tmap = worker_get(ref)
         ja = []
         for a, b_ in zip(batch["id_a"].to_pylist(), batch["id_b"].to_pylist()):
             sa = char_shingle_hashes(tmap.get(a) or "", shingle_k)
@@ -779,7 +758,7 @@ def simhash_pairs(
     bucket-pair exchange (see block comment above)."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        stage = _cached(("simhash", text_col, id_col, shingle_k),
+        stage = worker_cached(("simhash", text_col, id_col, shingle_k),
                         lambda: SimHashStage(text_col, id_col, shingle_k))
         return stage(batch)
 
@@ -866,7 +845,7 @@ def embedding_dup_pairs_bruteforce(
     ref = ray.put((all_ids, M))
 
     def pairs_fn(batch: pa.Table) -> pa.Table:
-        ids_b, M_b = _cached_ref(ref)
+        ids_b, M_b = worker_get(ref)
         q = list_col_to_matrix(batch[vec_col], dtype=np.float64)
         # zero-copy matrices are read-only (plasma buffer) — not in-place
         q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
@@ -957,7 +936,7 @@ def embedding_dup_pairs_lsh(
     (reported vs brute force in tests)."""
 
     def add_key(batch: pa.Table) -> pa.Table:
-        stage = _cached(("hplsh", vec_col, id_col, dim, nbits),
+        stage = worker_cached(("hplsh", vec_col, id_col, dim, nbits),
                         lambda: _HyperplaneLSH(vec_col, id_col, dim, nbits))
         return stage(batch)
 
@@ -1257,7 +1236,7 @@ def semdedup(
     cref = ray.put(C)
 
     def add_cell(batch: pa.Table) -> pa.Table:
-        C_b = _cached_ref(cref)
+        C_b = worker_get(cref)
         m = list_col_to_matrix(batch[vec_col], dtype=np.float64)
         m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True),
                            1e-12)

@@ -8,6 +8,8 @@ combiner blocks through this exchange instead. This module owns every
 decision that exchange makes, so the operators cannot drift apart:
 
 - the cluster width (:func:`cluster_cpus`);
+- the per-worker-process memo of broadcast objects and the stages built
+  from them (:func:`worker_cached`, :func:`worker_get`);
 - the block refs of an executed Dataset (:func:`block_refs`, the one
   use of Ray's private ``iter_internal_ref_bundles``), and the column
   types of the typed empty result when there are none
@@ -37,11 +39,41 @@ from ..functions.hashing import GOLDEN, stable_hash64_array
 
 def cluster_cpus() -> int:
     """CPUs of the current Ray cluster (NOT os.cpu_count(), which
-    ignores ray.init(num_cpus=...)); the host's count before Ray is
-    up."""
+    ignores ray.init(num_cpus=...)); before Ray is up, the CPUs this
+    process may run on (its affinity mask: ``os.cpu_count()`` counts
+    every CPU of the machine)."""
     if not ray.is_initialized():
-        return os.cpu_count() or 8
+        return len(os.sched_getaffinity(0))
     return int(ray.cluster_resources().get("CPU", 8))
+
+
+# per-WORKER-PROCESS memo: Ray reuses worker processes across tasks, so
+# a module-level dict loads each broadcast (and builds each stage from
+# it) once per worker, the actor-pool ``__init__`` semantics without a
+# fixed pool's spin-up on every (often tiny) job.
+_WORKER_CACHE: dict = {}
+
+
+def worker_cached(key, factory):
+    """The value cached under ``key`` in this process, made by
+    ``factory()`` on a miss. The cache holds at most 32 entries and is
+    cleared when a miss finds it full. Its largest entries are the
+    flagship's fused stages (``quality._label_task_fn``), 2.2 MB each
+    (0.13 MB langid table, 2.1 MB float32 perplexity tables): at most
+    ~70 MB, reached only by a process that labels with more than a few
+    distinct (model pair, config) combinations."""
+    if key not in _WORKER_CACHE:
+        value = factory()
+        if len(_WORKER_CACHE) >= 32:
+            _WORKER_CACHE.clear()
+        _WORKER_CACHE[key] = value
+    return _WORKER_CACHE[key]
+
+
+def worker_get(ref):
+    """``ray.get(ref)``, fetched once per worker process
+    (:func:`worker_cached` keyed on the ref's hex id)."""
+    return worker_cached(("ref", ref.hex()), lambda: ray.get(ref))
 
 
 def block_refs(ds: "rd.Dataset") -> list:

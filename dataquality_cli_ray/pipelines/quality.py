@@ -61,7 +61,8 @@ from ..stages.perplexity import PerplexityScorer, train_char_lm
 from ..stages.rules import HeuristicRules, QualityConfig, finalize_decision
 from ..stages.scrub import PiiScrubber
 from .exchange import (
-    block_refs, cluster_cpus, group_size, partitions, split_refs)
+    block_refs, cluster_cpus, group_size, partitions, split_refs,
+    worker_cached)
 
 
 def _out_cols(cfg: QualityConfig) -> list[str]:
@@ -181,13 +182,12 @@ def _dup_count_merge_task(key_col: str, *parts: pa.Table) -> np.ndarray:
 
 
 @ray.remote
-def _dup_winner_task(keys_ref, key_col: str, id_col: str,
+def _dup_winner_task(keys, key_col: str, id_col: str,
                      *tables: pa.Table) -> pa.Table:
     """Round 2: filter a group of combiner (or raw) blocks to the
     broadcast dup keys (sorted searchsorted membership) and return
     their per-task min-winner (key, winner) rows — O(duplicate keys),
     the only strings that move."""
-    keys = ray.get(keys_ref) if hasattr(keys_ref, "hex") else keys_ref
     out = []
     for t in tables:
         if t.num_rows == 0 or len(keys) == 0:
@@ -401,9 +401,10 @@ class QualityFusedStage:
     config (one 4,096-row fixture batch in one process;
     ``scripts/kernel_probe.py``). langid and perplexity share the
     batch's lowered, padded caption buffer and, block by block, one
-    rolling hash (``functions.text.CaptionGrams``). Models are fetched
-    from the object store once per worker process and model pair (first
-    call on a task worker, via the module cache below). A text-only
+    rolling hash (``functions.text.CaptionGrams``). It takes the two
+    model objects; ``_label_task_fn`` fetches them from the object store
+    and builds the stage once per worker process, model pair and config
+    (``exchange.worker_cached``). A text-only
     table (no image payload column) skips the decode and the gates on
     its columns.
 
@@ -413,7 +414,7 @@ class QualityFusedStage:
     pixel feature, and the output select drops all three.
     """
 
-    def __init__(self, cfg: QualityConfig, langid_ref, ppl_ref):
+    def __init__(self, cfg: QualityConfig, langid_model, ppl_model):
         self.rules = HeuristicRules(cfg)
         self.decode = DecodeImageStage(features=cfg.min_contrast is not None)
         if cfg.align_threshold is not None:
@@ -422,8 +423,9 @@ class QualityFusedStage:
                                            caption_col=cfg.caption_col)
         else:
             self.align = None
-        self.langid = LangIdScorer(langid_ref, min_score=cfg.langid_min_score)
-        self.ppl = PerplexityScorer(ppl_ref, max_ppl=cfg.max_perplexity)
+        self.langid = LangIdScorer(langid_model,
+                                   min_score=cfg.langid_min_score)
+        self.ppl = PerplexityScorer(ppl_model, max_ppl=cfg.max_perplexity)
         self.scrub = PiiScrubber()
         self.min_px, self.max_aspect = cfg.min_image_px, cfg.max_aspect
         self.min_contrast = cfg.min_contrast
@@ -482,12 +484,6 @@ class QualityFusedStage:
         return out
 
 
-# per-WORKER-PROCESS cache (actor `__init__` semantics without a fixed
-# pool): the fused stage loads once per worker, model pair and config.
-# The loser map is not in the key: each task fetches its plan's own.
-_TASK_CACHE: dict = {}
-
-
 def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
                    units: bool = False, with_path: bool = False):
     """The plan's one map step: label ``batch`` (with ``units``, each
@@ -495,12 +491,12 @@ def _label_task_fn(batch: pa.Table, *, cfg, langid_ref, ppl_ref, dup_ref,
     lists) with the fused stage, dup marking and the keep/drop decision,
     yielding one labeled table per batch; a ``path`` column is kept for
     the CLI."""
-    key = (langid_ref.hex(), ppl_ref.hex(), cfg)
-    if key not in _TASK_CACHE:
-        if len(_TASK_CACHE) >= 4:          # old models' stages
-            _TASK_CACHE.clear()
-        _TASK_CACHE[key] = QualityFusedStage(cfg, langid_ref, ppl_ref)
-    stage, lookup = _TASK_CACHE[key], ray.get(dup_ref)
+    # the fused stage is built once per worker, model pair and config;
+    # the loser map is not in the key: each task fetches its plan's own
+    stage = worker_cached(
+        (langid_ref.hex(), ppl_ref.hex(), cfg),
+        lambda: QualityFusedStage(cfg, ray.get(langid_ref), ray.get(ppl_ref)))
+    lookup = ray.get(dup_ref)
     batches = read_unit(zip(chain(*batch["paths"].to_pylist()),
                             chain(*batch["row_groups"].to_pylist())),
                         with_path=with_path) if units else (batch,)

@@ -31,22 +31,8 @@ from ray.data.aggregate import Count
 
 from ..functions.rounding import round_half_up
 from ..sources.readers import read_parquet
-from .exchange import block_refs, exchange, partitions, split_refs
-
-# per-WORKER-PROCESS broadcast cache (once-per-worker fetch for
-# stateless-task stages; Ray reuses worker processes across tasks)
-_WORKER_CACHE: dict = {}
-
-
-def _cached_ref(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = ray.get(ref)
-        if len(_WORKER_CACHE) > 32:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = v
-    return v
+from .exchange import (
+    block_refs, exchange, partitions, split_refs, worker_get)
 
 
 def tree_grouped_agg(
@@ -184,7 +170,7 @@ def revenue_by_segment(sf_dir: str) -> pd.DataFrame:
                    cust["c_mktsegment"].combine_chunks()))
 
     def add_segment(batch: pa.Table) -> pa.Table:
-        keys, segs = _cached_ref(ref)
+        keys, segs = worker_get(ref)
         idx = pc.index_in(batch["o_custkey"], value_set=keys)
         return batch.append_column("c_mktsegment", pc.take(segs, idx))
 
@@ -294,7 +280,7 @@ def customers_without_orders(sf_dir: str, mode: str = "broadcast") -> pd.DataFra
 
         def anti_filter(batch: pa.Table) -> pa.Table:
             hit = pc.is_in(batch["c_custkey"].cast(pa.int64()),
-                           value_set=_cached_ref(ref))
+                           value_set=worker_get(ref))
             return batch.filter(pc.invert(hit))
 
         ds = read_parquet(f"{sf_dir}/customer.parquet",

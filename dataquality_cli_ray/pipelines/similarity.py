@@ -21,28 +21,12 @@ import ray
 import ray.data as rd
 
 from ..functions.arrays import ids_np, list_col_to_matrix
-from .exchange import block_refs
+from .exchange import block_refs, worker_get
 
 
 def _as_matrix(col) -> np.ndarray:
     m = list_col_to_matrix(col, dtype=np.float64)  # zero-copy from Arrow
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-
-
-# per-WORKER-PROCESS broadcast cache (stateless-task analogue of the
-# actor-pool __init__ fetch; Ray reuses worker processes across tasks)
-_WORKER_CACHE: dict = {}
-
-
-def _cached_ref(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = ray.get(ref)
-        if len(_WORKER_CACHE) > 32:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = v
-    return v
 
 
 def _topk_prune(t: pa.Table, k: int, with_rank: bool = False) -> pa.Table:
@@ -121,7 +105,7 @@ def brute_force_topk(
     qref = ray.put((np.asarray(query_ids), Q))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        qids_b, Q_b = _cached_ref(qref)
+        qids_b, Q_b = worker_get(qref)
         m = _as_matrix(batch[vec_col])
         ids = ids_np(batch[id_col])
         sims = m @ Q_b.T                             # (B, Q)
@@ -169,7 +153,7 @@ def lsh_topk(
     pref = ray.put((np.asarray(query_ids), Q, H, probes))
 
     def bucket_topk(batch: pa.Table) -> pa.Table:
-        qids_b, Q_b, H_b, probes_b = _cached_ref(pref)
+        qids_b, Q_b, H_b, probes_b = worker_get(pref)
         m = _as_matrix(batch[vec_col])
         keys = _keys(m, H_b)
         ids = ids_np(batch[id_col])
@@ -286,7 +270,7 @@ def ivf_centroids(
         cref = ray.put(C)
 
         def partial(batch: pa.Table) -> pa.Table:
-            C_b = _cached_ref(cref)
+            C_b = worker_get(cref)
             m = _as_matrix(batch[vec_col])
             cell = np.argmax(m @ C_b.T, axis=1)
             sums = np.zeros((len(C_b), m.shape[1] + 1), dtype=np.float64)
@@ -341,7 +325,7 @@ def ivf_topk(
     pref = ray.put((np.asarray(query_ids), Q, centroids, probes))
 
     def cell_topk(batch: pa.Table) -> pa.Table:
-        qids_b, Q_b, C_b, probes_b = _cached_ref(pref)
+        qids_b, Q_b, C_b, probes_b = worker_get(pref)
         m = _as_matrix(batch[vec_col])
         cells = np.argmax(m @ C_b.T, axis=1)
         ids = ids_np(batch[id_col])

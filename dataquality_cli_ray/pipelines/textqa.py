@@ -22,6 +22,7 @@ import ray.data as rd
 from ..functions import text as T
 from ..functions.hashing import rolling_fingerprints
 from ..stages.langid import LangIdScorer, LangIdTrainPartials, merge_langid_partials
+from .exchange import worker_cached
 
 
 def token_stats(ds: "rd.Dataset", text_col: str = "text",
@@ -101,27 +102,19 @@ def train_langid_on_dataset(
     return merge_langid_partials(parts)
 
 
-_SCORER_CACHE: dict = {}
-
-
 def classify_language(
     ds: "rd.Dataset", model: dict, text_col: str = "text",
     id_col: str = "doc_id",
 ) -> "rd.Dataset":
     """(id, lang_pred, lang_score) via the scorer as stateless tasks
-    with a per-worker-process model cache (same once-per-worker load
+    with a per-worker-process scorer cache (same once-per-worker load
     semantics as an actor pool, none of the pool spin-up)."""
     ref = ray.put(model)
 
     def score(batch):
-        key = ref.hex() if hasattr(ref, "hex") else id(ref)
-        sc = _SCORER_CACHE.get((key, text_col))
-        if sc is None:
-            sc = LangIdScorer(model_ref=ref, text_col=text_col)
-            if len(_SCORER_CACHE) > 16:
-                _SCORER_CACHE.clear()
-            _SCORER_CACHE[(key, text_col)] = sc
-        return sc(batch)
+        return worker_cached(
+            ("langid", ref.hex(), text_col),
+            lambda: LangIdScorer(ray.get(ref), text_col=text_col))(batch)
 
     out = ds.select_columns([id_col, text_col]).map_batches(
         score, batch_format="pyarrow", batch_size=4096,

@@ -113,23 +113,18 @@ class LangIdScorer:
     """Task stage: adds ``lang`` (predicted) + ``lang_score``
     (max cosine) + ``rule_lang_unknown``.
 
-    Pass ``model_ref`` as a ``ray.put`` ObjectRef so the (L, D) profile
-    matrix ships to each worker once per model object (the flagship
-    caches the scorer per worker process on the ref), not per batch or
-    per plan; a plain dict also works for tests.
+    Takes the model object (the :func:`train_langid_model` dict). A
+    Ray plan ships it with ``ray.put`` and builds the scorer once per
+    worker process from the fetched model (``exchange.worker_cached``),
+    so the (L, D) profile matrix moves once per worker, not per batch.
     A caller that already holds the batch's :class:`CaptionGrams` of
     ``text_col`` passes it as ``grams`` (the flagship's fused stage
     shares one with the perplexity scorer); otherwise the call builds
     one.
     """
 
-    def __init__(self, model_ref, text_col: str = "caption_trimmed",
+    def __init__(self, model: dict, text_col: str = "caption_trimmed",
                  min_score: float | None = None):
-        if "ObjectRef" in type(model_ref).__name__:
-            import ray
-            model = ray.get(model_ref)
-        else:
-            model = model_ref
         self.langs = pa.array(list(model["langs"]), type=pa.string())
         # the (L + 1, dim) table the scoring pass gathers by bucket id:
         # the L float64 profiles, then a row of ones whose gathered

@@ -13,8 +13,9 @@ c_{i-1}) with add-k smoothing, i.e. bits/char; natural text scores low,
 gibberish high. Scoring reads the batch's ``CaptionGrams``
 (``functions/text.py``), whose rolling hash the flagship's fused stage
 shares with the langid scorer. Built deterministically from a seed corpus in
-whole-corpus passes (:func:`train_char_lm`) and shipped pre-built via
-``ray.put``; callers cache the scorer once per worker process.
+whole-corpus passes (:func:`train_char_lm`). :class:`PerplexityScorer`
+takes that model object; a Ray plan ships it pre-built via ``ray.put``
+and builds the scorer once per worker process from the fetched model.
 """
 
 from __future__ import annotations
@@ -149,19 +150,15 @@ def score_text(model: dict, text: str) -> float:
 
 class PerplexityScorer:
     """Task stage: adds ``ppl`` (bits/char) and optionally
-    ``rule_high_perplexity``. The count tables ship once per worker via
-    the ObjectRef (callers cache the scorer per worker process);
+    ``rule_high_perplexity``. Takes the model object (the
+    :func:`train_char_lm` dict): a Ray plan ships it once per worker and
+    caches the scorer per worker process (``exchange.worker_cached``);
     per-batch work is numpy table lookups. A caller that already holds
     the batch's :class:`CaptionGrams` of ``text_col`` passes it as
     ``grams`` (the flagship's fused stage shares one with langid)."""
 
-    def __init__(self, model_ref, text_col: str = "caption_trimmed",
+    def __init__(self, model: dict, text_col: str = "caption_trimmed",
                  max_ppl: float | None = None):
-        if "ObjectRef" in type(model_ref).__name__:
-            import ray
-            model = ray.get(model_ref)
-        else:
-            model = model_ref
         # count tables as float32: counts are small integers (< 2^24),
         # exactly representable, so gather-then-upcast is BIT-IDENTICAL
         # to float64 tables while halving the randomly-gathered cache

@@ -119,10 +119,12 @@ def test_shard_size_below_one_rejected(input_files, tmp_path, capsys, size):
 
 def test_ray_session_sized_by_cpu_affinity(monkeypatch):
     """Without ``--num-cpus`` the CLI's Ray session gets the CPUs this
-    process may run on, not every CPU of the machine."""
+    process may run on, not every CPU of the machine: the width
+    ``exchange.cluster_cpus`` gives before Ray is up."""
     import ray
 
     from dataquality_cli_ray import cli
+    from dataquality_cli_ray.pipelines.exchange import cluster_cpus
 
     calls = []
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
@@ -132,6 +134,8 @@ def test_ray_session_sized_by_cpu_affinity(monkeypatch):
     cli._ray_session(None)
     cli._ray_session(2)
     assert [c["num_cpus"] for c in calls] == [3, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cluster_cpus() == 1
 
 
 def test_discover_files(tmp_path):

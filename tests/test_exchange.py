@@ -1,6 +1,6 @@
 """The shared hash exchange (pipelines/exchange.py): null-safe
-partitioning end to end, the partition rule, and the guard on the
-private Ray APIs the package depends on."""
+partitioning end to end, the partition rule, the per-worker cache and
+the guard on the private Ray APIs the package depends on."""
 
 import os
 import re
@@ -103,6 +103,38 @@ def test_partition_rule(ray_session):
     assert X.partitions(100, limit=3) == 3
     assert X.partitions(100, limit=1) == 2
     assert [X.group_size(n) for n in (1, 8, 16, 40, 200)] == [1, 1, 2, 5, 8]
+
+
+def test_worker_cache_builds_once_per_key_and_clears_past_bound(
+        ray_session, monkeypatch):
+    """worker_cached calls its factory once per key across repeated
+    calls, and the cache is cleared when a miss finds its 32 entries
+    full; worker_get fetches a ref once."""
+    import ray
+
+    from dataquality_cli_ray.pipelines import exchange as X
+
+    monkeypatch.setattr(X, "_WORKER_CACHE", {})     # this test's own
+    made = []
+
+    def get(i):
+        return X.worker_cached(("test", i), lambda: made.append(i) or i)
+
+    assert [get(0), get(0), get(1), get(0)] == [0, 0, 1, 0]
+    assert made == [0, 1]
+    for i in range(2, 34):          # 32 more keys: the cache fills up
+        get(i)
+    get(0)                          # so key 0 was cleared: built again
+    assert made == list(range(34)) + [0]
+
+    fetched = []
+    real_get = ray.get
+    monkeypatch.setattr(ray, "get",
+                        lambda r: fetched.append(r) or real_get(r))
+    ref = ray.put({"x": 1})
+    assert X.worker_get(ref) is X.worker_get(ref)
+    assert X.worker_get(ref) == {"x": 1}
+    assert fetched == [ref]
 
 
 def test_block_refs_uses_ray_internal_bundles(ray_session, monkeypatch):

@@ -209,28 +209,42 @@ def test_count_first_dup_map_equals_group_by():
         assert len(got_k) == len(got_w), name
 
 
-def test_stage_cache_keyed_on_whole_config(ray_session, models):
+def test_stage_cache_keyed_on_whole_config(ray_session, models,
+                                           monkeypatch):
     """The per-worker stage cache keys on both model refs and the whole
     config: two calls with the same refs and configs that differ only in
-    ``max_perplexity`` label differently."""
+    ``max_perplexity`` label differently, and a repeat call with the
+    same refs and config builds no second stage."""
     import ray
 
     from dataquality_cli_ray.fixtures.images import gen_rows
-    from dataquality_cli_ray.pipelines.quality import (
-        _label_task_fn, dup_losers_from_table)
+    from dataquality_cli_ray.pipelines import exchange
+    from dataquality_cli_ray.pipelines import quality as Q
 
+    built = []
+    init = Q.QualityFusedStage.__init__
+
+    def counting_init(self, cfg, *models):
+        built.append(cfg)
+        init(self, cfg, *models)
+
+    monkeypatch.setattr(Q.QualityFusedStage, "__init__", counting_init)
+    # an empty cache of this test's own: one the earlier tests filled
+    # could reach its bound and clear between the calls below
+    monkeypatch.setattr(exchange, "_WORKER_CACHE", {})
     batch = gen_rows(np.arange(600), 600)
     refs = {"langid_ref": ray.put(models[0]), "ppl_ref": ray.put(models[1]),
-            "dup_ref": ray.put(dup_losers_from_table(batch))}
+            "dup_ref": ray.put(Q.dup_losers_from_table(batch))}
 
     def reasons(cfg):
-        out, = _label_task_fn(batch, cfg=cfg, **refs)
+        out, = Q._label_task_fn(batch, cfg=cfg, **refs)
         return out["drop_reason"].to_pylist()
 
     loose = reasons(QualityConfig())
     strict = reasons(QualityConfig(max_perplexity=1.0))
     assert strict.count("high_perplexity") > loose.count("high_perplexity")
     assert reasons(QualityConfig()) == loose
+    assert built == [QualityConfig(), QualityConfig(max_perplexity=1.0)]
 
 
 def _plan_labels(ds, dup_map, cfg, lm, pm):
@@ -762,7 +776,6 @@ def test_zero_row_batch_finalizes_typed(models):
     batch give zero rows with a bool ``keep`` and a string
     ``drop_reason`` (an untyped keep array made ``and`` raise)."""
     import numpy as np
-    import ray
 
     from dataquality_cli_ray.fixtures.images import gen_rows
     from dataquality_cli_ray.pipelines import quality as Q
@@ -770,7 +783,7 @@ def test_zero_row_batch_finalizes_typed(models):
 
     cfg = QualityConfig()
     batch = gen_rows(np.arange(4), 4).slice(0, 0)
-    stage = Q.QualityFusedStage(cfg, ray.put(models[0]), ray.put(models[1]))
+    stage = Q.QualityFusedStage(cfg, *models)
     out = finalize_decision(Q._mark_dup(stage(batch),
                                         *Q.dup_losers_from_table(batch)))
     assert out.num_rows == 0

@@ -14,6 +14,9 @@ decision that exchange makes, so the operators cannot drift apart:
   use of Ray's private ``iter_internal_ref_bundles``), and the column
   types of the typed empty result when there are none
   (:func:`column_type`);
+- an already-executed Dataset of tables this process holds
+  (:func:`executed_dataset`, the one use of ``ray.data.from_blocks``,
+  which ``ray.data.__all__`` does not export);
 - the partition of a key (:func:`partition_ids`);
 - the split of a table (:func:`split`) and the split fan-out
   (:func:`split_refs`, :func:`group_size`);
@@ -93,6 +96,17 @@ def block_refs(ds: "rd.Dataset") -> list:
         return ds.to_arrow_refs()
     return [ref for b in bundles for ref, meta in b.blocks
             if meta.num_rows is None or meta.num_rows > 0]
+
+
+def executed_dataset(tables: list[pa.Table]) -> "rd.Dataset":
+    """A Dataset of ``tables``, one block each, whose plan is already
+    executed: its blocks' metadata is computed in this process, and
+    ``materialize()`` marks the plan executed without running it, so
+    draining, counting or converting it starts no executor and no
+    task. Falls back to ``from_arrow`` (one remote metadata task per
+    table) should Ray drop ``from_blocks``."""
+    from_blocks = getattr(rd, "from_blocks", rd.from_arrow)
+    return from_blocks(tables).materialize()
 
 
 def column_type(ds: "rd.Dataset", col: str) -> pa.DataType:

@@ -15,7 +15,13 @@ and interquartile range of:
   (``from_items`` of as many one-row blocks as the op ran tasks, then
   one ``map_batches`` that returns its batch), which is Ray's own fixed
   cost of a plan of that many tasks, and ``floor cpu ms``: the CPU that
-  drain costs the session's processes together.
+  drain costs the session's processes together. An op that ran no task
+  has no floor: a one-unit input that fits one read batch is labeled in
+  the calling process during the plan, and its executed Dataset drains
+  with no task.
+
+The header names the op's path, ``in process`` or ``Ray plan``, and the
+work units the input plans to.
 
 Then the CPU ms per op of each session process: the driver and every
 process descended from it (Ray's core daemons, its workers and actors),
@@ -27,9 +33,8 @@ free cores than busy processes this CPU is wall time too.
 With ``--cli`` an op is what dqbench's ``quality_cli`` times instead:
 ``cli.cmd_quality`` at ``--shard-size 2`` into a fresh output directory,
 then ``checkpoint.lineage_report`` of it. It prints the op's median and
-interquartile ``op ms``, the work units the input plans to (one unit
-runs in the calling process, more run as a Ray plan) and the same CPU
-table.
+interquartile ``op ms`` and the same CPU table; a one-unit input runs
+in the calling process, more units run as a Ray plan.
 
     python scripts/op_probe.py [--cli] [--cpus 1] [--ops 30] [--files 8]
         [--rows 1024] [--seed 7]
@@ -163,10 +168,11 @@ def one_op(path: str, cfg, lm, pm) -> dict:
     t2 = time.perf_counter()
     cpu = cpu_ms(c0, session_ticks())
     tasks, udf = executed(ds)
-    floor, floor_cpu = floor_ms(tasks)
-    return {"plan ms": (t1 - t0) * 1e3, "drain ms": (t2 - t1) * 1e3,
-            "tasks": tasks, "udf ms": udf, "floor ms": floor,
-            "floor cpu ms": floor_cpu, "rows": rows, "cpu": cpu}
+    op = {"plan ms": (t1 - t0) * 1e3, "drain ms": (t2 - t1) * 1e3,
+          "tasks": tasks, "udf ms": udf, "rows": rows, "cpu": cpu}
+    if tasks:                      # Ray has no plan of zero tasks
+        op["floor ms"], op["floor cpu ms"] = floor_ms(tasks)
+    return op
 
 
 def cli_op(path: str, out: str, cpus: int) -> dict:
@@ -215,10 +221,9 @@ def main() -> int:
     try:
         with tempfile.TemporaryDirectory() as d:
             path = write_input(d, args.files, args.rows, args.seed)
+            units = len(parquet_units(parquet_files(path), args.cpus))
             if args.cli:
                 keys = ("op ms",)
-                files = parquet_files(path)
-                units = len(parquet_units(files, args.cpus))
                 out = os.path.join(d, "out")
                 op = partial(cli_op, path, out, args.cpus)
             else:
@@ -235,12 +240,15 @@ def main() -> int:
     finally:
         ray.shutdown()
     assert all(o["rows"] == args.files * args.rows for o in ops)
+    here = units == 1 if args.cli else not any(o["tasks"] for o in ops)
     print(f"{args.ops} {'quality CLI' if args.cli else 'flagship'} ops, "
-          f"{args.files} x {args.rows} rows, {args.cpus} CPU(s)"
-          + (f", {units} work unit(s)" if args.cli else ""))
+          f"{args.files} x {args.rows} rows, {args.cpus} CPU(s), "
+          f"{units} work unit(s), {'in process' if here else 'Ray plan'}")
     print(f"{'':<14}{'median':>10}{'iqr':>10}")
     for k in keys:
-        xs = [o[k] for o in ops]
+        xs = [o[k] for o in ops if k in o]
+        if not xs:
+            continue
         q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
         print(f"{k:<14}{statistics.median(xs):>10.1f}{q[2] - q[0]:>10.1f}")
     print(f"\nCPU ms per op ({TICK_MS:g} ms clock ticks, mean over "

@@ -160,10 +160,35 @@ def test_block_refs_uses_ray_internal_bundles(ray_session, monkeypatch):
     assert sum(t.num_rows for t in got) == 1
 
 
+def test_executed_dataset_falls_back_to_from_arrow(ray_session, monkeypatch):
+    """executed_dataset builds its Dataset with Ray's ``from_blocks``;
+    with that name gone, the ``from_arrow`` fallback gives equal rows,
+    one block per table, and either Dataset is already executed."""
+    import ray.data as rd
+
+    from dataquality_cli_ray.pipelines.exchange import executed_dataset
+
+    assert hasattr(rd, "from_blocks")
+    tables = [pa.table({"x": [1, 2], "s": ["a", None]}),
+              pa.table({"x": [3], "s": ["c"]})]
+
+    def rows(ds):
+        assert ds._plan.has_computed_output()
+        assert ds.num_blocks() == 2
+        return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow",
+                                                     batch_size=None)))
+
+    want = pa.concat_tables(tables)
+    assert rows(executed_dataset(tables)).equals(want)
+    monkeypatch.delattr(rd, "from_blocks")
+    assert rows(executed_dataset(tables)).equals(want)
+
+
 def test_private_ray_api_guard():
     """The private Ray names the package relies on still exist, so a Ray
     upgrade that moves them fails here, loudly; and only exchange.py
-    touches the cluster size and the internal block bundles."""
+    touches the cluster size, the internal block bundles and
+    ``from_blocks``."""
     from ray.data._internal.datasource.json_datasource import (  # noqa: F401
         JSON_FILE_EXTENSIONS)
 
@@ -175,7 +200,8 @@ def test_private_ray_api_guard():
             path = os.path.join(root, f)
             with open(path) as fh:
                 src = fh.read()
-            if re.search(r"cluster_resources|iter_internal_ref_bundles", src):
+            if re.search(r"cluster_resources|iter_internal_ref_bundles"
+                         r"|from_blocks", src):
                 offenders.append(os.path.relpath(path, PKG))
     assert offenders == []
 

@@ -417,14 +417,16 @@ def multi_file_images(images_path, tmp_path_factory):
 
 
 def test_staged_plan_is_one_fused_operator(ray_session, models,
-                                           multi_file_images):
-    """One map step reads, labels and marks each work unit: after the
-    ``FromItems`` input of the planned units, the executed staged plan
-    is ONE operator, with no ReadParquet and no SplitBlocks. The plan's
-    block size cap and reservation switch live in the plan's own
-    context; the process-wide context is left as it was."""
+                                           multi_file_images, monkeypatch):
+    """One map step reads, labels and marks each work unit of an input
+    planned as two units: after the ``FromItems`` input of the planned
+    units, the executed staged plan is ONE operator, with no ReadParquet
+    and no SplitBlocks. The plan's block size cap and reservation switch
+    live in the plan's own context; the process-wide context is left as
+    it was."""
     import ray.data as rd
 
+    _two_units(monkeypatch)
     lm, pm = models
     ctx = rd.DataContext.get_current()
     prev = ctx.target_max_block_size, ctx.op_resource_reservation_enabled
@@ -442,6 +444,58 @@ def test_staged_plan_is_one_fused_operator(ray_session, models,
     n = sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow"))
     assert n == 600
     assert _executed_ops(ds) == ["FromItems", FUSED_OP]
+
+
+def _drain(ds) -> pa.Table:
+    return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow",
+                                                 batch_size=None)))
+
+
+def test_one_unit_flagship_runs_no_executor(ray_session, models,
+                                            multi_file_images, monkeypatch):
+    """600 rows at 4 CPUs plan to one work unit that fits one read
+    batch: ``images_quality_pipeline`` labels it in this process and
+    returns an executed Dataset, which drains, counts and converts to
+    pandas with no streaming executor."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    lm, pm = models
+    ds = images_quality_pipeline(multi_file_images, QualityConfig(),
+                                 langid_model=lm, ppl_model=pm)
+
+    def no_executor(*a, **kw):
+        raise AssertionError("a streaming executor was created")
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", no_executor)
+    assert _drain(ds).num_rows == 600
+    assert ds.count() == 600
+    assert len(ds.to_pandas()) == 600
+
+
+def test_one_unit_in_process_equals_ray_plan(ray_session, models,
+                                             multi_file_images,
+                                             pipeline_and_golden,
+                                             monkeypatch):
+    """A one-unit input labeled in this process gives the rows, in the
+    same order, that its Ray plan gives when the unit does not fit one
+    read batch (``PIECE_MAX_BYTES`` lowered below its bytes, which keeps
+    the ``FromItems`` + fused-operator plan); the rows carry the golden
+    oracle's labels."""
+    from dataquality_cli_ray.sources import readers
+
+    lm, pm = models
+    units = readers.parquet_units(readers.parquet_files(multi_file_images), 4)
+    assert len(units) == 1
+    here = _drain(images_quality_pipeline(multi_file_images, QualityConfig(),
+                                          langid_model=lm, ppl_model=pm))
+    with monkeypatch.context() as m:
+        m.setattr(readers, "PIECE_MAX_BYTES", readers.unit_bytes(units[0]) - 1)
+        ds = images_quality_pipeline(multi_file_images, QualityConfig(),
+                                     langid_model=lm, ppl_model=pm)
+        plan = _drain(ds)
+    assert _executed_ops(ds) == ["FromItems", FUSED_OP]
+    assert here.equals(plan)
+    _assert_golden(here.sort_by("image_id"), pipeline_and_golden)
 
 
 def _cmd_quality(input_dir: str, out_dir: str, shard_size: int) -> None:

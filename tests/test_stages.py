@@ -601,6 +601,20 @@ def test_ppl_arrow_matches_list_path():
         assert abs(lone - score_text(model, t)) < 1e-9
 
 
+def test_ppl_wide_dim_scorer_matches_score_text():
+    """A model whose ``dim`` is not a power of two takes the uint64
+    buckets path (gathered through their int64 view): the scorer's
+    ``ppl`` equals the per-text scorer's, text by text, up to the batch
+    mean's float summation order."""
+    texts, _ = seed_corpus(n_per_lang=30)
+    model = train_char_lm(texts, dim=1000)
+    probe = list(texts[:40]) + ["UPPER lower 123", "ab", "İstanbul"]
+    got = PerplexityScorer(model)(
+        pa.table({"caption_trimmed": pa.array(probe)}))["ppl"].to_pylist()
+    for t, g in zip(probe, got):
+        assert abs(g - score_text(model, t)) < 1e-12, t
+
+
 def test_ppl_scorers_lower_alike():
     """The per-text scorer and the batch scorer lower text the same way
     (Arrow's simple case mapping), also where Python's ``str.lower``

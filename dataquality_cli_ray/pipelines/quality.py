@@ -11,9 +11,9 @@ task per work unit of ~total rows / CPUs rows:
                                                 → langid → perplexity → scrub
           mark dup + finalize_decision          resolved loser map
 
-An input of ONE unit that fits one read batch skips Ray Data: the calling
-process runs the same ``_label_task_fn`` eagerly and returns an
-already-executed Dataset (see :func:`images_quality_pipeline`).
+An input of ONE unit skips Ray Data: the calling process runs the same
+``_label_task_fn`` eagerly and returns an already-executed Dataset (see
+:func:`images_quality_pipeline`).
 
 The dup pre-pass (a column-pruned scan of (phash, image_id) that never
 touches image bytes) runs FIRST, in the calling process: the main pass
@@ -611,14 +611,18 @@ def images_quality_pipeline(
     stray non-parquet file in the input directory is skipped, not read.
     A Lance input keeps Ray's reader and :func:`quality_pipeline`.
 
-    An input that plans to ONE work unit whose row groups fit one read
-    batch (footer uncompressed bytes ≤ ``readers.PIECE_MAX_BYTES``, so a
-    Ray worker would hold the same batch) is labeled in this process,
-    by the same :func:`_label_task_fn`, and returned as an
-    already-executed Dataset (``exchange.executed_dataset``): draining,
-    counting or converting it starts no executor, task worker or
-    ``AutoscalingRequester`` call. The labeling then runs in this call,
-    not in the drain.
+    An input that plans to ONE work unit (any input at 1 CPU; the
+    crossover is measured in :func:`pending_labels`, which shares the
+    rule) is labeled in this process, by the same
+    :func:`_label_task_fn`, and returned as an already-executed Dataset
+    (``exchange.executed_dataset``): draining, counting or converting it
+    starts no executor, task worker or ``AutoscalingRequester`` call.
+    The task reads its unit one batch of at most
+    ``readers.PIECE_MAX_BYTES`` at a time, as a Ray worker would; only
+    the labels (no image bytes) are held whole. The labeling then runs
+    in this call, not in the drain, and a failure in it (an OOM kill of
+    this process included) is not retried by Ray: it is raised from
+    this call, or takes this process down.
 
     ``pending`` (a subset of the input's files) makes the plan read only
     those files and adds a ``path`` column naming each row's file, while
@@ -633,11 +637,10 @@ def pending_labels(files: list[str], cfg: QualityConfig,
                    pending: list[str]) -> "rd.Dataset | Iterator[pa.Table]":
     """The quality CLI's plan: :func:`images_quality_pipeline` over the
     ``pending`` subset of the parquet ``files``, with the seeded models.
-    The flagship's in-process rule applies here without its byte bound:
-    when ``pending`` plans to ONE work unit
-    (:func:`~..sources.readers.parquet_units` at the cluster's CPUs: any
-    input at 1 CPU, up to ``UNIT_MIN_ROWS`` rows at 4), whatever its
-    size, this process runs the unit's task itself,
+    The in-process rule is the flagship's: when ``pending`` plans to ONE
+    work unit (:func:`~..sources.readers.parquet_units` at the cluster's
+    CPUs: any input at 1 CPU, up to ``UNIT_MIN_ROWS`` rows at 4), this
+    process runs the unit's task itself,
     :func:`_label_task_fn` with the same refs, and returns its generator
     of labeled tables, which the CLI writes as they come, never holding
     the unit's labels whole. A Ray execution there
@@ -655,20 +658,19 @@ def pending_labels(files: list[str], cfg: QualityConfig,
     forced into one unit here they took 132-140 ms, so one unit is a
     conservative bound."""
     return _staged_plan(files, cfg, "staged", None, None, pending,
-                        in_process=True)
+                        stream=True)
 
 
 def _staged_plan(input_path, cfg: QualityConfig, dedup_mode: str,
-                 langid_model, ppl_model, pending, in_process: bool = False):
+                 langid_model, ppl_model, pending, stream: bool = False):
     # both entries' plan: footer probe, dup map, units, then the label
-    # step. One unit runs its task here: with ``in_process`` (the CLI)
-    # the plan is the task's generator; otherwise, when the unit fits
-    # one read batch, an executed Dataset of the task's tables
+    # step. One unit runs its task here, and the plan is the task's
+    # generator with ``stream`` (the CLI), else an executed Dataset of
+    # the task's tables
     if dedup_mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup_mode {dedup_mode!r}; "
                          f"expected one of {DEDUP_MODES}")
-    from ..sources.readers import (
-        PIECE_MAX_BYTES, parquet_units, read_table, table_rows, unit_bytes)
+    from ..sources.readers import parquet_units, read_table, table_rows
 
     # Two context settings scoped to this plan. Ray snapshots the
     # DataContext when the source Dataset is created, so they are set
@@ -701,11 +703,10 @@ def _staged_plan(input_path, cfg: QualityConfig, dedup_mode: str,
                  for u in units]
         args = dup_map, cfg, langid_model, ppl_model
         kw = {"units": True, "with_path": pending is not None}
-        if len(units) == 1 and (
-                in_process or unit_bytes(units[0]) <= PIECE_MAX_BYTES):
+        if len(units) == 1:
             labeled = _label_task_fn(pa.Table.from_pylist(items),
                                      **_label_kwargs(*args, **kw))
-            return labeled if in_process else executed_dataset(list(labeled))
+            return labeled if stream else executed_dataset(list(labeled))
         ds = rd.from_items(items, override_num_blocks=len(units))
         return _label_step(ds, *args, **kw)
     finally:

@@ -385,15 +385,6 @@ def parquet_units(files: list[str], cpus: int) -> list:
     return plan_units(files, [m.row_groups for m in _footers(files)], cpus)
 
 
-def unit_bytes(unit) -> int:
-    """Uncompressed bytes of a work unit's row groups, all columns
-    counted, from the footers (read at most once per process; see
-    :func:`_footers`)."""
-    return sum(m.row_groups[i][1]
-               for m, (_, groups) in zip(_footers([f for f, _ in unit]), unit)
-               for i in groups)
-
-
 def read_unit(unit, columns: list[str] | None = None,
               with_path: bool = False):
     """The rows of one work unit (``[(file, [row group, ...]), ...]``,

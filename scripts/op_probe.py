@@ -16,8 +16,8 @@ and interquartile range of:
   one ``map_batches`` that returns its batch), which is Ray's own fixed
   cost of a plan of that many tasks, and ``floor cpu ms``: the CPU that
   drain costs the session's processes together. An op that ran no task
-  has no floor: a one-unit input that fits one read batch is labeled in
-  the calling process during the plan, and its executed Dataset drains
+  has no floor: a one-unit input is labeled in the calling process
+  during the plan, and its executed Dataset drains
   with no task.
 
 The header names the op's path, ``in process`` or ``Ray plan``, and the
@@ -33,8 +33,9 @@ free cores than busy processes this CPU is wall time too.
 With ``--cli`` an op is what dqbench's ``quality_cli`` times instead:
 ``cli.cmd_quality`` at ``--shard-size 2`` into a fresh output directory,
 then ``checkpoint.lineage_report`` of it. It prints the op's median and
-interquartile ``op ms`` and the same CPU table; a one-unit input runs
-in the calling process, more units run as a Ray plan.
+interquartile ``op ms`` and the same CPU table. In either mode a
+one-unit input runs in the calling process, more units run as a Ray
+plan.
 
     python scripts/op_probe.py [--cli] [--cpus 1] [--ops 30] [--files 8]
         [--rows 1024] [--seed 7]
@@ -240,7 +241,7 @@ def main() -> int:
     finally:
         ray.shutdown()
     assert all(o["rows"] == args.files * args.rows for o in ops)
-    here = units == 1 if args.cli else not any(o["tasks"] for o in ops)
+    here = units == 1
     print(f"{args.ops} {'quality CLI' if args.cli else 'flagship'} ops, "
           f"{args.files} x {args.rows} rows, {args.cpus} CPU(s), "
           f"{units} work unit(s), {'in process' if here else 'Ray plan'}")

@@ -453,10 +453,10 @@ def _drain(ds) -> pa.Table:
 
 def test_one_unit_flagship_runs_no_executor(ray_session, models,
                                             multi_file_images, monkeypatch):
-    """600 rows at 4 CPUs plan to one work unit that fits one read
-    batch: ``images_quality_pipeline`` labels it in this process and
-    returns an executed Dataset, which drains, counts and converts to
-    pandas with no streaming executor."""
+    """600 rows at 4 CPUs plan to one work unit:
+    ``images_quality_pipeline`` labels it in this process and returns
+    an executed Dataset, which drains, counts and converts to pandas
+    with no streaming executor."""
     from ray.data._internal.plan import ExecutionPlan
 
     lm, pm = models
@@ -476,11 +476,10 @@ def test_one_unit_in_process_equals_ray_plan(ray_session, models,
                                              multi_file_images,
                                              pipeline_and_golden,
                                              monkeypatch):
-    """A one-unit input labeled in this process gives the rows, in the
-    same order, that its Ray plan gives when the unit does not fit one
-    read batch (``PIECE_MAX_BYTES`` lowered below its bytes, which keeps
-    the ``FromItems`` + fused-operator plan); the rows carry the golden
-    oracle's labels."""
+    """A one-unit input labeled in this process gives the rows that the
+    Ray plan gives when the same input is planned as two units (which
+    runs the ``FromItems`` + fused-operator plan); the rows carry the
+    golden oracle's labels."""
     from dataquality_cli_ray.sources import readers
 
     lm, pm = models
@@ -489,13 +488,14 @@ def test_one_unit_in_process_equals_ray_plan(ray_session, models,
     here = _drain(images_quality_pipeline(multi_file_images, QualityConfig(),
                                           langid_model=lm, ppl_model=pm))
     with monkeypatch.context() as m:
-        m.setattr(readers, "PIECE_MAX_BYTES", readers.unit_bytes(units[0]) - 1)
+        _two_units(m)
         ds = images_quality_pipeline(multi_file_images, QualityConfig(),
                                      langid_model=lm, ppl_model=pm)
         plan = _drain(ds)
     assert _executed_ops(ds) == ["FromItems", FUSED_OP]
-    assert here.equals(plan)
-    _assert_golden(here.sort_by("image_id"), pipeline_and_golden)
+    here = here.sort_by("image_id")
+    assert here.equals(plan.sort_by("image_id"))
+    _assert_golden(here, pipeline_and_golden)
 
 
 def _cmd_quality(input_dir: str, out_dir: str, shard_size: int) -> None:
